@@ -51,10 +51,13 @@ EXIT_RESOURCE = 3
 
 
 def parse_coins(text: str) -> CoinSystem:
-    """Comma-separated decimal denominations; whitespace tolerated."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Comma-separated decimal denominations; whitespace around each is
+    tolerated, empty fields are not."""
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise InvalidSystem("no denominations given")
+    if "" in parts:
+        raise InvalidSystem(f"empty denomination field in {text!r}")
     try:
         values = [int(p) for p in parts]
     except ValueError:
@@ -360,3 +363,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

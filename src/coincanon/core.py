@@ -81,7 +81,7 @@ class CoinSystem:
         if len(d) == 0:
             raise EmptyList("a coin system needs at least one denomination")
         for v in d:
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"denominations must be integers, got {v!r}")
             if v < 1:
                 raise NonPositiveValue(f"denomination {v} is not positive")

@@ -7,7 +7,6 @@ with optional ``key=value`` annotations after a ``#``.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Optional
@@ -60,10 +59,6 @@ def enumerate_all(m: int, cmax: int) -> Iterator[CoinSystem]:
         raise ValueError("need m >= 1 and cmax >= m")
     for rest in combinations(range(2, cmax + 1), m - 1):
         yield CoinSystem((1,) + rest)
-
-
-def count_all(m: int, cmax: int) -> int:
-    return math.comb(cmax - 1, m - 1)
 
 
 def random_system(m: int, cmax: int, seed: int) -> CoinSystem:

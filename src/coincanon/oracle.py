@@ -17,9 +17,10 @@ from .core import (
     CoinSystem,
     Counterexample,
     LimitExceeded,
+    Representation,
     Verdict,
 )
-from .solvers import greedy, optimal
+from .solvers import _optimal_counts, greedy, optimal
 
 
 def _scan(
@@ -33,12 +34,13 @@ def _scan(
     Returns ``(hit, greedy_sizes, opt_sizes)`` where ``hit`` is the first
     amount whose greedy size exceeds its optimal size (None if there is
     none). The size arrays cover amounts ``0..stop-1`` unless the scan
-    stopped early, in which case they are valid up to and including ``hit``.
+    stopped early, in which case they end at ``hit``: they grow one amount
+    at a time, so an early hit never pays for the rest of the window.
     """
     if stop <= 1:
         return None, [0], [0]
-    opt = [0] * stop
-    grd = [0] * stop
+    opt = [0]
+    grd = [0]
     m = len(denoms)
     hit = None
     # Denominations <= x, maintained incrementally while x ascends.
@@ -53,18 +55,17 @@ def _scan(
             next_i += 1
             nxt = denoms[next_i] if next_i < m else 0
         g = grd[x - cur] + 1
-        grd[x] = g
+        grd.append(g)
         best = opt[x - 1]
         for c in others:
             v = opt[x - c]
             if v < best:
                 best = v
         best += 1
-        opt[x] = best
+        opt.append(best)
         if g > best and x >= start and hit is None:
             hit = x
             if stop_at_hit:
-                del opt[x + 1:], grd[x + 1:]
                 return hit, grd, opt
     return hit, grd, opt
 
@@ -89,12 +90,17 @@ def counterexample_at(
 def first_counterexample_in(
     system: CoinSystem, start: int, stop: int, budget: Optional[int] = None
 ) -> Optional[Counterexample]:
-    """Smallest counterexample with start <= x < stop, by exhaustive scan."""
+    """Smallest counterexample with start <= x < stop, by exhaustive scan.
+
+    The optimal representation is backtracked from the scan's own size
+    table, with the same larger-coin-first tie-break as ``optimal()``.
+    """
     _guard(stop, budget)
-    hit, _, _ = _scan(system.denoms, max(start, 1), stop)
+    hit, _, opt = _scan(system.denoms, max(start, 1), stop)
     if hit is None:
         return None
-    return counterexample_at(system, hit, budget)
+    counts = _optimal_counts(system.denoms, opt, hit)
+    return Counterexample(hit, greedy(system, hit), Representation(tuple(counts), hit, opt[hit]))
 
 
 def smallest_counterexample(

@@ -61,6 +61,20 @@ def test_check_three_equals_oracle_small():
                 assert v.witness.x == o.x
 
 
+def test_check_three_closed_form_witness_is_the_oracle_witness():
+    # The closed-form witness ((q+1)*c2, optimal (0, q+1, 0)) must be the
+    # scan's smallest counterexample down to both count vectors.
+    checked = 0
+    for c3 in range(3, 301):
+        for c2 in range(2, c3):
+            s = new_coin_system([1, c2, c3])
+            v = check_three(s)
+            if not v.canonical:
+                assert v.witness == smallest_counterexample(s), s
+                checked += 1
+    assert checked == 38_367
+
+
 def test_proof_witness_amount_fires_when_non_canonical():
     # When the quotient/remainder condition fires, c2 + c3 - 1 admits the
     # representation (r-1, q+1, 0) of size r+q, strictly below the greedy

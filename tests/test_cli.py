@@ -1,6 +1,10 @@
 """Command-line contract: verdicts, exit codes, JSON schema, corpus flows."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,9 @@ def test_parse_coins():
         parse_coins("1,5,x")
     with pytest.raises(InvalidSystem):
         parse_coins("")
+    for text in ("1,,5", "1,5,", ",1,5", "1, ,5"):
+        with pytest.raises(InvalidSystem, match="empty"):
+            parse_coins(text)
 
 
 def test_check_non_canonical_known_values(capsys):
@@ -117,6 +124,7 @@ def test_usage_errors(capsys):
     assert run(["check", "5,10"]) == 2       # first coin not 1
     assert run(["check", "1,5,5"]) == 2      # duplicate
     assert run(["check", "abc"]) == 2
+    assert run(["check", "1,,5"]) == 2      # empty field
     assert run(["check", "1,3,4", "--method", "tight-verbatim"]) == 2  # arity
     assert run(["check", "1,7,10,50,60,70", "--method", "tight-extended"]) == 2  # not tight
     assert run(["nonsense"]) == 2
@@ -136,6 +144,26 @@ def test_tight_method_with_skip(capsys):
 def test_resource_exit_code(capsys):
     assert run(["check", "1,7,10,50000", "--method", "oracle", "--dp-budget", "100"]) == 3
     capsys.readouterr()
+
+
+def test_three_coin_witness_above_the_dp_budget(capsys):
+    # The three-coin witness is closed form, so no table limits it.
+    assert run(["check", "1,3000000000,4000000000", "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["x"] == 6_000_000_000
+    assert witness["optimal_counts"] == [0, 2, 0]
+    assert witness["greedy_counts"] == [2_000_000_000, 0, 1]
+
+
+@pytest.mark.parametrize("module", ["coincanon", "coincanon.cli"])
+def test_python_dash_m(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", module, "check", "1,7,10,11"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout.startswith("non-canonical; counterexample 14:")
 
 
 def test_gen_family(capsys):

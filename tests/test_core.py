@@ -43,6 +43,11 @@ def test_validation_errors():
         new_coin_system([1, 0, 3])
     with pytest.raises(NonPositiveValue):
         new_coin_system([-1, 1, 3])
+    # bool is an int subclass; True must not pass for the unit coin
+    with pytest.raises(TypeError):
+        new_coin_system([True, 5])
+    with pytest.raises(TypeError):
+        CoinSystem((1, 2, False))
 
 
 def test_overflow_boundary():

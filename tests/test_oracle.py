@@ -16,6 +16,7 @@ from coincanon import (
     optimal_all,
     smallest_counterexample,
 )
+from coincanon.oracle import _scan
 
 from _brute import min_size_bruteforce, smallest_counterexample_bruteforce
 
@@ -86,6 +87,32 @@ def test_first_counterexample_in_range():
     assert first_counterexample_in(s, 1, 6) is None
     assert first_counterexample_in(s, 1, 7).x == 6
     assert first_counterexample_in(s, 7, 100).x == 10  # 3+3+4 beats 4+4+1+1
+
+
+def test_scan_witness_equals_dp_witness():
+    # first_counterexample_in backtracks from the scan's table; it must give
+    # exactly what a separate DP to the hit gives, tie-break included.
+    rng = random.Random(12)
+    compared = 0
+    for _ in range(300):
+        m = rng.randint(3, 8)
+        s = new_coin_system([1] + sorted(rng.sample(range(2, 200), m - 1)))
+        cex = first_counterexample_in(s, 1, s.denoms[-2] + s.denoms[-1])
+        if cex is not None:
+            assert cex == counterexample_at(s, cex.x), s
+            compared += 1
+    assert compared > 150
+
+
+def test_scan_arrays_end_at_the_hit():
+    d = (1, 3, 4)
+    hit, grd, opt = _scan(d, 1, 1000)
+    assert hit == 6 and len(grd) == len(opt) == 7
+    hit, grd, opt = _scan(d, 1, 1000, stop_at_hit=False)
+    assert hit == 6 and len(grd) == len(opt) == 1000
+    hit, grd, opt = _scan((1, 5, 10, 25), 1, 60)
+    assert hit is None and len(grd) == len(opt) == 60
+    assert opt[:7] == [0, 1, 2, 3, 4, 1, 2]
 
 
 def test_oracle_matches_bruteforce_scan():
