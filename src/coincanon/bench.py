@@ -47,15 +47,8 @@ def scaling_run(
     methods: Sequence[str],
     sizes: Sequence[int],
     trials: int = 3,
-    seed: int = 0,
-    warmup: bool = True,
 ) -> list[BenchRow]:
-    """Time each method on arithmetic systems of each size.
-
-    ``seed`` is accepted for interface stability; the benchmark family is
-    deterministic, so it does not influence the inputs.
-    """
-    del seed
+    """Time each method on arithmetic systems of each size."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for name in methods:
@@ -68,8 +61,7 @@ def scaling_run(
         system = arithmetic_system(size, 1)
         for name in methods:
             fn = METHODS[name]
-            if warmup:
-                fn(system)
+            fn(system)
             for trial in range(trials):
                 t0 = time.perf_counter_ns()
                 verdict = fn(system)

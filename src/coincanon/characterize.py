@@ -20,7 +20,7 @@ from .core import (
     WrongArity,
 )
 from .oracle import first_counterexample_in, smallest_counterexample
-from .solvers import _greedy_size, greedy, optimal
+from .solvers import _greedy_size, greedy
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,18 @@ def check_three(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
     return Verdict(Counterexample(x, greedy(system, x), Representation((0, k, 0), x, k)))
 
 
+def _one_point_amount(denoms: tuple[int, ...]) -> Optional[int]:
+    """The one-point test on the top coin: with ``k = c_m // c_{m-1}``, the
+    amount ``(k+1)*c_{m-1}`` when its greedy representation needs more than
+    ``k+1`` coins, else None. An exact multiple ``c_m`` never fires."""
+    second, top = denoms[-2], denoms[-1]
+    k, rem = divmod(top, second)
+    if rem == 0:
+        return None
+    x = (k + 1) * second
+    return x if _greedy_size(denoms, x) > k + 1 else None
+
+
 def one_point_extension(
     prefix: CoinSystem, c_new: int, budget: Optional[int] = None
 ) -> Verdict:
@@ -73,22 +85,22 @@ def one_point_extension(
 
     With ``k = c_new // c_m``: exact multiples of the largest prefix coin keep
     the system canonical; otherwise the system is non-canonical exactly when
-    the greedy representation of ``(k+1)*c_m`` uses more than ``k+1`` coins,
-    and that amount is the reported witness. The caller certifies that the
-    prefix is canonical.
+    the greedy representation of ``x = (k+1)*c_m`` uses more than ``k+1``
+    coins, and x is the reported witness. The caller certifies that the
+    prefix is canonical; then ``k+1`` copies of c_m is the representation
+    ``optimal()`` would return, so it is built without a table and
+    ``budget`` is never reached.
     """
     top = prefix.denoms[-1]
     if c_new <= top:
         raise NotAnExtension(f"{c_new} does not exceed the largest denomination {top}")
     extended = CoinSystem(prefix.denoms + (c_new,))
-    k, rem = divmod(c_new, top)
-    if rem == 0:
+    x = _one_point_amount(extended.denoms)
+    if x is None:
         return Verdict()
-    x = (k + 1) * top
-    if _greedy_size(extended.denoms, x) <= k + 1:
-        return Verdict()
-    witness = Counterexample(x, greedy(extended, x), optimal(extended, x, budget))
-    return Verdict(witness)
+    k = x // top
+    counts = (0,) * (prefix.m - 1) + (k, 0)
+    return Verdict(Counterexample(x, greedy(extended, x), Representation(counts, x, k)))
 
 
 def propagation_witness(system: CoinSystem, budget: Optional[int] = None) -> Counterexample:
@@ -134,19 +146,25 @@ def check_five(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
     canonical completions are ``<1, 2, c3, c3+1, 2*c3>`` with ``c3 > 3``;
     with a canonical four-coin prefix the last coin is judged by the
     one-point extension test.
+    Outside the family the witness is the smallest counterexample, scanned
+    only up to the four-coin prefix's one-point amount y when ``y < c5``:
+    below c5 the system agrees with that prefix.
     """
     if system.m != 5:
         raise WrongArity(f"check_five needs exactly 5 denominations, got {system.m}")
     d = system.denoms
     if _kz3_non_canonical(d):
         return Verdict(propagation_witness(system, budget))
-    four = system.prefix(4)
-    if one_point_extension(system.prefix(3), d[3], budget).canonical:
-        return one_point_extension(four, d[4], budget)
+    y = _one_point_amount(d[:4])
+    if y is None:
+        return one_point_extension(system.prefix(4), d[4], budget)
     in_family = d[1] == 2 and d[3] == d[2] + 1 and d[4] == 2 * d[2] and d[2] > 3
     if in_family:
         return Verdict()
-    witness = smallest_counterexample(system, budget)
+    if y < d[4]:
+        witness = first_counterexample_in(system, 1, y + 1, budget)
+    else:
+        witness = smallest_counterexample(system, budget)
     if witness is None:  # pragma: no cover - would falsify the five-coin characterization
         raise TheoremViolation(
             f"{system}: five-coin characterization says non-canonical but no counterexample found"

@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = scaling_run(methods, sizes, trials=args.trials, seed=args.seed)
+    rows = scaling_run(methods, sizes, trials=args.trials)
     if args.json:
         print(json.dumps([row.__dict__ for row in rows]))
     else:
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {','.join(BENCH_METHODS)}")
     p.add_argument("--sizes", required=True, help="comma-separated system sizes")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -20,7 +20,7 @@ from .core import (
     Verdict,
     WrongArity,
 )
-from .characterize import _kz3_non_canonical, propagation_witness
+from .characterize import _kz3_non_canonical, _one_point_amount, propagation_witness
 from .oracle import counterexample_at
 from .solvers import _greedy_counts, _greedy_size
 
@@ -134,15 +134,14 @@ def _tight_check(
             raise AssertionError(f"flagged pair sum {best} is not a counterexample")
         return TightCheckReport(Verdict(witness), variant, pairs, False, membership)
 
-    if variant == "extended":
-        k, rem = divmod(top, second)
-        if rem != 0:
-            x = (k + 1) * second
-            if _greedy_size(d, x) > k + 1:
-                witness = counterexample_at(system, x, budget)
-                if witness is None:  # pragma: no cover
-                    raise AssertionError(f"one-point amount {x} is not a counterexample")
-                return TightCheckReport(Verdict(witness), variant, pairs, False, membership)
+    # A tight system's prefix need not be canonical, so the witness at the
+    # one-point amount is checked rather than built in closed form.
+    x = _one_point_amount(d) if variant == "extended" else None
+    if x is not None:
+        witness = counterexample_at(system, x, budget)
+        if witness is None:  # pragma: no cover
+            raise AssertionError(f"one-point amount {x} is not a counterexample")
+        return TightCheckReport(Verdict(witness), variant, pairs, False, membership)
 
     return TightCheckReport(Verdict(), variant, pairs, False, membership)
 

@@ -5,13 +5,10 @@ Sweeps are pure and deterministic, so corpora can be partitioned and the
 partial reports merged; on this package's own test loads everything runs in
 one process.
 
-``evaluate_shared`` is a batched evaluator that computes one greedy/optimal
-scan per system and derives every predicate from it. It must agree with the
-standalone functions in :mod:`coincanon.predicates`; the test suite
-cross-checks the two paths on random corpora. The shared path assumes the
-window result (``thm3``) for reusing a from-1 scan as the oracle's smallest
-counterexample - and it evaluates ``thm3`` itself on every system, so a
-violation would surface as a failure in the same report.
+``evaluate_predicates`` builds one scan record per system and evaluates every
+named predicate against it, so the from-1 scan, the sandwich gate and the
+size arrays each run at most once per system, and each predicate is the same
+code as its standalone function in :mod:`coincanon.predicates`.
 """
 
 from __future__ import annotations
@@ -20,17 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import CoinSystem, LimitExceeded, Verdict
-from .characterize import _kz3_non_canonical
-from .fastcheck import _is_pair_sum
 from .oracle import _guard, _scan
-from .predicates import (
-    PREDICATES,
-    Outcome,
-    PredicateResult,
-    _has_disjoint_optimal,
-    _pair_cex_exists,
-)
-from .solvers import _opt_sizes
+from .predicates import _RULES, PREDICATES, Outcome, PredicateResult, _Scans
 
 PREDICATE_NAMES = tuple(PREDICATES)
 
@@ -139,109 +127,9 @@ def evaluate_predicates(
     names: Iterable[str] = PREDICATE_NAMES,
     budget: Optional[int] = None,
 ) -> dict[str, PredicateResult]:
-    """Standalone evaluation of the named predicates on one system."""
-    return {name: PREDICATES[name](system, budget) for name in names}
-
-
-def evaluate_shared(
-    system: CoinSystem,
-    names: Iterable[str] = PREDICATE_NAMES,
-    budget: Optional[int] = None,
-    cap: int = 10_000,
-) -> dict[str, PredicateResult]:
-    """One-scan evaluation of the named predicates on one system."""
-    d = system.denoms
-    n = len(d)
-    wanted = set(names)
-    out: dict[str, PredicateResult] = {}
-
-    def put(name: str, outcome: Outcome, detail: str = "") -> None:
-        if name in wanted:
-            out[name] = PredicateResult(outcome, detail)
-
-    top = d[-1]
-    stop = 2 * top
-    _guard(stop, budget)
-    x1, grd1, opt1 = _scan(d, 1, stop)
-
-    # window bound
-    if n < 3:
-        put("thm3", Outcome.NOT_APPLICABLE, "needs at least three denominations")
-    elif x1 is None:
-        put("thm3", Outcome.NOT_APPLICABLE, "canonical")
-    else:
-        lo, hi = d[2] + 1, d[-2] + d[-1]
-        ok = lo < x1 < hi
-        put("thm3", Outcome.HOLDS if ok else Outcome.FAILS,
-            f"smallest counterexample {x1}, window ({lo}, {hi})")
-
-    # disjoint support at the smallest counterexample
-    if "thm1" in wanted:
-        if x1 is None:
-            put("thm1", Outcome.NOT_APPLICABLE, "canonical")
-        else:
-            ok = _has_disjoint_optimal(d, x1, opt1, cap)
-            put("thm1", Outcome.HOLDS if ok else Outcome.FAILS, f"x={x1}")
-
-    # propagation of a non-canonical three-coin prefix
-    if n < 4:
-        put("thm8", Outcome.NOT_APPLICABLE, "needs at least four denominations")
-    elif not _kz3_non_canonical(d):
-        put("thm8", Outcome.NOT_APPLICABLE, "three-coin prefix canonical")
-    else:
-        bound = top + d[2]
-        ok = x1 is not None and x1 < bound
-        put("thm8", Outcome.HOLDS if ok else Outcome.FAILS,
-            f"bound {bound}" + (f", witness {x1}" if ok else ""))
-
-    sandwich_names = {"thm11", "lem12", "lem13"} & wanted
-    if sandwich_names:
-        reason = None
-        if n < 5:
-            reason = "needs at least five denominations"
-        elif _kz3_non_canonical(d):
-            reason = "three-coin prefix non-canonical"
-        elif x1 is None:
-            reason = "full system canonical"
-        elif x1 < top:
-            reason = "full system not tight"
-        else:
-            p = d[:-1]
-            px, _, _ = _scan(p, 1, p[-2] + p[-1])
-            if px is None:
-                reason = "prefix without the top coin is canonical"
-            elif px < p[-1]:
-                reason = "prefix without the top coin is not tight"
-        if reason is not None:
-            for name in sandwich_names:
-                put(name, Outcome.NOT_APPLICABLE, reason)
-        else:
-            _guard(2 * d[-2] + 1, budget)
-            _, grd2, opt2 = _scan(d, 1, 2 * d[-2] + 1, stop_at_hit=False)
-            if "thm11" in wanted:
-                found = _pair_cex_exists(d, tuple(reversed(d[1:-1])), grd2, opt2)
-                put("thm11", Outcome.HOLDS if found is not None else Outcome.FAILS,
-                    f"counterexample {found}" if found is not None
-                    else "no pair-sum counterexample above the top coin")
-            if "lem12" in wanted:
-                blocked = _pair_cex_exists(d, (d[-2],), grd2, opt2)
-                if blocked is not None:
-                    put("lem12", Outcome.NOT_APPLICABLE,
-                        f"pair sum {blocked} with the second-largest coin is a counterexample")
-                else:
-                    gs = system.gaps()
-                    put("lem12", Outcome.HOLDS if gs[-1] == max(gs) else Outcome.FAILS,
-                        f"gaps {gs}")
-            if "lem13" in wanted:
-                blocked = _pair_cex_exists(d, (d[-2], d[-3]), grd2, opt2)
-                if blocked is not None:
-                    put("lem13", Outcome.NOT_APPLICABLE,
-                        f"pair sum {blocked} with a top-adjacent coin is a counterexample")
-                else:
-                    ok = _is_pair_sum(d, x1)
-                    put("lem13", Outcome.HOLDS if ok else Outcome.FAILS,
-                        f"smallest counterexample {x1}")
-    return out
+    """Evaluate the named predicates on one system over one scan record."""
+    scans = _Scans(system, budget)
+    return {name: _RULES[name](scans) for name in names}
 
 
 @dataclass
@@ -290,16 +178,14 @@ def predicate_sweep(
     systems: Iterable[CoinSystem],
     names: Iterable[str] = PREDICATE_NAMES,
     budget: Optional[int] = None,
-    shared: bool = True,
     skip_limit_errors: bool = False,
 ) -> SweepReport:
     """Evaluate the named predicates over a corpus and aggregate outcomes."""
     names = tuple(names)
     report = SweepReport()
-    evaluate = evaluate_shared if shared else evaluate_predicates
     for system in systems:
         try:
-            report.merge_one(system, evaluate(system, names, budget))
+            report.merge_one(system, evaluate_predicates(system, names, budget))
         except LimitExceeded:
             if not skip_limit_errors:
                 raise

@@ -28,8 +28,8 @@ def test_rows_shape_and_verdicts():
 
 
 def test_identical_seeds_identical_inputs():
-    a = scaling_run(["oracle"], [8], trials=1, seed=1)
-    b = scaling_run(["oracle"], [8], trials=1, seed=1)
+    a = scaling_run(["oracle"], [8], trials=1)
+    b = scaling_run(["oracle"], [8], trials=1)
     assert [(r.method, r.m, r.c_max, r.verdict) for r in a] == [
         (r.method, r.m, r.c_max, r.verdict) for r in b
     ]

@@ -19,6 +19,8 @@ from coincanon import (
     smallest_counterexample,
 )
 from coincanon.core import Representation
+from coincanon.generate import enumerate_all
+from coincanon.oracle import counterexample_at
 
 
 def test_kz3_examples():
@@ -130,6 +132,9 @@ def test_one_point_extension_agrees_with_oracle():
         v = one_point_extension(prefix, c_new)
         extended = new_coin_system(prefix.denoms + (c_new,))
         assert v.canonical == is_canonical_oracle(extended).canonical
+        if not v.canonical:
+            # The closed-form witness is the one a DP at x would build.
+            assert v.witness == counterexample_at(extended, v.witness.x)
         checked += 1
     assert checked > 150
 
@@ -190,6 +195,22 @@ def test_check_five_equals_oracle_small():
                     assert check_five(s).canonical == is_canonical_oracle(s).canonical, s
                     count += 1
     assert count == 715
+
+
+def test_check_five_fallback_witness_is_the_smallest():
+    # Canonical three-coin prefix, non-canonical four-coin prefix, outside
+    # the canonical family: the scan stops at the prefix's one-point amount
+    # when that lies below c5, and must still find the smallest counterexample.
+    checked = 0
+    for s in enumerate_all(5, 40):
+        if kz3_analysis(s.prefix(3)).non_canonical or check_four(s.prefix(4)).canonical:
+            continue
+        v = check_five(s)
+        if v.canonical:
+            continue
+        assert v.witness == smallest_counterexample(s), s
+        checked += 1
+    assert checked > 1000
 
 
 def test_propagation_examples():

@@ -155,6 +155,19 @@ def test_three_coin_witness_above_the_dp_budget(capsys):
     assert witness["greedy_counts"] == [2_000_000_000, 0, 1]
 
 
+@pytest.mark.parametrize("coins,x,optimal_counts", [
+    # one-point witness: k+1 copies of the prefix's top coin, built without a DP
+    ("1,2,300000001,400000000", 600_000_002, [0, 0, 2, 0]),
+    # check_five's fallback scans only up to the four-coin prefix's witness
+    ("1,2,4,5,300000000", 8, [0, 0, 2, 0, 0]),
+])
+def test_witness_without_a_table_above_the_dp_budget(capsys, coins, x, optimal_counts):
+    assert run(["check", coins, "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["x"] == x
+    assert witness["optimal_counts"] == optimal_counts
+
+
 @pytest.mark.parametrize("module", ["coincanon", "coincanon.cli"])
 def test_python_dash_m(module):
     src = str(Path(__file__).resolve().parents[1] / "src")

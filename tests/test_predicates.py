@@ -1,8 +1,10 @@
 """Three-valued structural predicates."""
 
 import random
+from itertools import chain
 
 import pytest
+from _brute import smallest_counterexample_bruteforce
 
 from coincanon import (
     LimitExceeded,
@@ -16,6 +18,7 @@ from coincanon import (
     smallest_is_pair_sum,
     window_bound,
 )
+from coincanon.generate import enumerate_all
 from coincanon.predicates import PREDICATES
 
 
@@ -53,6 +56,18 @@ def test_window_bound_is_strict():
     # 6 sits strictly inside (5, 7) for <1,3,4>; the detail names the window.
     r = window_bound(new_coin_system([1, 3, 4]))
     assert "window (5, 7)" in r.detail
+
+
+def test_window_bound_scan_matches_brute_force():
+    # The from-1 scan every predicate reads, against an enumerator that
+    # shares no code with it, over the same range up to twice the top coin.
+    for s in chain.from_iterable(enumerate_all(m, 12) for m in (3, 4, 5)):
+        x = smallest_counterexample_bruteforce(s.denoms, 2 * s.largest)
+        r = window_bound(s)
+        if x is None:
+            assert (r.outcome, r.detail) == (Outcome.NOT_APPLICABLE, "canonical"), s
+        else:
+            assert r.detail.startswith(f"smallest counterexample {x}, "), (s, r.detail)
 
 
 def test_propagation_bound_examples():

@@ -1,17 +1,23 @@
-"""Sweep machinery: shared-scan evaluation must match the standalone
-predicates, and equivalence reports must catch disagreements."""
+"""Sweep machinery: evaluating predicates over one shared scan record must
+match the standalone predicates, and equivalence reports must catch
+disagreements."""
 
 import random
 
 from coincanon import Verdict, new_coin_system
 from coincanon.generate import enumerate_all
+from coincanon.predicates import PREDICATES
 from coincanon.sweeps import (
     EquivalenceReport,
     compare_with_oracle,
     evaluate_predicates,
-    evaluate_shared,
     predicate_sweep,
 )
+
+
+def _standalone(s):
+    """Every predicate on a fresh scan record of its own."""
+    return {name: fn(s) for name, fn in PREDICATES.items()}
 
 
 def test_shared_matches_standalone_on_random_corpus():
@@ -22,7 +28,7 @@ def test_shared_matches_standalone_on_random_corpus():
         if cmax < m:
             continue
         s = new_coin_system([1] + sorted(rng.sample(range(2, cmax + 1), m - 1)))
-        assert evaluate_shared(s) == evaluate_predicates(s), s
+        assert evaluate_predicates(s) == _standalone(s), s
 
 
 def test_shared_matches_standalone_on_special_systems():
@@ -39,7 +45,7 @@ def test_shared_matches_standalone_on_special_systems():
     ]
     for coins in specials:
         s = new_coin_system(coins)
-        assert evaluate_shared(s) == evaluate_predicates(s), s
+        assert evaluate_predicates(s) == _standalone(s), s
 
 
 def test_predicate_sweep_counts():
@@ -52,16 +58,22 @@ def test_predicate_sweep_counts():
     assert report.fails == {}
 
 
-def test_predicate_sweep_shared_equals_standalone_aggregate():
-    systems = list(enumerate_all(4, 14))
-    a = predicate_sweep(systems, shared=True)
-    b = predicate_sweep(systems, shared=False)
-    assert (a.total, a.holds, a.fails, a.not_applicable) == (
-        b.total,
-        b.holds,
-        b.fails,
-        b.not_applicable,
-    )
+def test_predicate_sweep_aggregate_counts():
+    report = predicate_sweep(enumerate_all(4, 14))
+    assert report.total == 286  # C(13, 3)
+    assert report.holds == {"thm1": 231, "thm3": 231, "thm8": 136}
+    assert report.fails == {}
+    assert report.not_applicable == {
+        "thm1": 55, "thm3": 55, "thm8": 150, "thm11": 286, "lem12": 286, "lem13": 286,
+    }
+    report = predicate_sweep(enumerate_all(6, 26))
+    assert report.total == 53_130  # C(25, 5)
+    assert report.holds == {"thm1": 52_563, "thm3": 52_563, "thm8": 26_738, "thm11": 10_756}
+    assert report.fails == {}
+    assert report.not_applicable == {
+        "thm1": 567, "thm3": 567, "thm8": 26_392,
+        "thm11": 42_374, "lem12": 53_130, "lem13": 53_130,
+    }
 
 
 def test_compare_with_oracle_agreement():
