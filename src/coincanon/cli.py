@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from typing import Optional
 
 from .core import (
@@ -23,7 +22,6 @@ from .core import (
     NotAnExtension,
     Verdict,
     WrongArity,
-    new_coin_system,
 )
 from .bench import METHODS as BENCH_METHODS, scaling_run
 from .characterize import check_five, check_four, check_three
@@ -37,6 +35,7 @@ from .generate import (
     enumerate_all,
     family,
     format_corpus_line,
+    parse_coins,
     random_system,
     read_corpus,
     tight_corpus,
@@ -48,24 +47,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def parse_coins(text: str) -> CoinSystem:
-    """Comma-separated decimal denominations; whitespace around each is
-    tolerated, empty fields are not."""
-    parts = [p.strip() for p in text.split(",")]
-    if parts == [""]:
-        raise InvalidSystem("no denominations given")
-    if "" in parts:
-        raise InvalidSystem(f"empty denomination field in {text!r}")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise InvalidSystem(f"denominations must be decimal integers: {text!r}") from None
-    duplicates = sorted(v for v, k in Counter(values).items() if k > 1)
-    if duplicates:
-        raise InvalidSystem(f"duplicate denomination(s): {duplicates}")
-    return new_coin_system(values)
 
 
 def _witness_json(witness: Optional[Counterexample]) -> Optional[dict]:
@@ -213,8 +194,7 @@ def _cmd_gen(args) -> int:
             return _corpus_out(args, lines)
         systems = (random_system(args.m, args.cmax, args.seed + i) for i in range(args.count))
     if args.tight:
-        from .oracle import is_tight as _it
-        systems = (s for s in systems if _it(s, budget)[0])
+        systems = (s for s in systems if is_tight(s, budget)[0])
     if args.json:
         lines = (json.dumps({"system": list(s.denoms)}) for s in systems)
     else:

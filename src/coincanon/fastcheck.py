@@ -10,7 +10,6 @@ by a genuine counterexample regardless.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -23,9 +22,6 @@ from .core import (
 from .characterize import _kz3_non_canonical, _one_point_amount, propagation_witness
 from .oracle import counterexample_at
 from .solvers import _greedy_counts, _greedy_size
-
-# Largest denomination for which pair membership uses a direct-address table.
-_BITMAP_LIMIT = 1 << 24
 
 
 def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
@@ -80,7 +76,6 @@ class TightCheckReport:
     variant: Literal["verbatim", "extended"]
     pairs_scanned: int
     step1_fired: bool
-    membership: Literal["bitmap", "bisect"]
 
 
 def _tight_check(
@@ -91,24 +86,12 @@ def _tight_check(
     if n < 6:
         raise WrongArity(f"tight check needs at least 6 denominations, got {n}")
     top = d[-1]
-    second = d[-2]
-    use_bitmap = second <= _BITMAP_LIMIT
-    membership: Literal["bitmap", "bisect"] = "bitmap" if use_bitmap else "bisect"
 
     if _kz3_non_canonical(d):
         witness = propagation_witness(system, budget)
-        return TightCheckReport(Verdict(witness), variant, 0, True, membership)
+        return TightCheckReport(Verdict(witness), variant, 0, True)
 
-    if use_bitmap:
-        table = bytearray(second + 1)
-        for c in d[:-1]:
-            table[c] = 1
-        def is_coin(v: int) -> bool:
-            return table[v] == 1
-    else:
-        def is_coin(v: int) -> bool:
-            i = bisect_left(d, v)
-            return i < n and d[i] == v
+    coins = set(d[:-1])
 
     # All pairs of the non-top denominations whose sum exceeds the top coin.
     # Such a sum is a counterexample exactly when the remainder after the top
@@ -126,13 +109,13 @@ def _tight_check(
             pairs += 1
             if s <= top:
                 break
-            if (best is None or s < best) and not is_coin(s - top):
+            if (best is None or s < best) and s - top not in coins:
                 best = s
     if best is not None:
         witness = counterexample_at(system, best, budget)
         if witness is None:  # pragma: no cover - flagged sums always are counterexamples
             raise AssertionError(f"flagged pair sum {best} is not a counterexample")
-        return TightCheckReport(Verdict(witness), variant, pairs, False, membership)
+        return TightCheckReport(Verdict(witness), variant, pairs, False)
 
     # A tight system's prefix need not be canonical, so the witness at the
     # one-point amount is checked rather than built in closed form.
@@ -141,9 +124,9 @@ def _tight_check(
         witness = counterexample_at(system, x, budget)
         if witness is None:  # pragma: no cover
             raise AssertionError(f"one-point amount {x} is not a counterexample")
-        return TightCheckReport(Verdict(witness), variant, pairs, False, membership)
+        return TightCheckReport(Verdict(witness), variant, pairs, False)
 
-    return TightCheckReport(Verdict(), variant, pairs, False, membership)
+    return TightCheckReport(Verdict(), variant, pairs, False)
 
 
 def is_canonical_tight_verbatim(

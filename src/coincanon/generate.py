@@ -7,11 +7,12 @@ with optional ``key=value`` annotations after a ``#``.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import BudgetExhausted, CoinSystem, Verdict, new_coin_system
+from .core import BudgetExhausted, CoinSystem, InvalidSystem, Verdict, new_coin_system
 from .oracle import _guard, _scan, is_canonical_oracle
 
 
@@ -180,13 +181,31 @@ def annotate(system: CoinSystem, verdict: Verdict, tight: bool) -> dict[str, obj
     return ann
 
 
+def parse_coins(text: str) -> CoinSystem:
+    """Comma-separated decimal denominations; whitespace around each is
+    tolerated, empty fields are not."""
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
+        raise InvalidSystem("no denominations given")
+    if "" in parts:
+        raise InvalidSystem(f"empty denomination field in {text!r}")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise InvalidSystem(f"denominations must be decimal integers: {text!r}") from None
+    duplicates = sorted(v for v, k in Counter(values).items() if k > 1)
+    if duplicates:
+        raise InvalidSystem(f"duplicate denomination(s): {duplicates}")
+    return new_coin_system(values)
+
+
 def parse_corpus_line(line: str) -> Optional[tuple[CoinSystem, dict[str, str]]]:
     """Parse one corpus line; returns None for blank lines and comments."""
     body, _, tail = line.partition("#")
     body = body.strip()
     if not body:
         return None
-    system = new_coin_system(int(p) for p in body.split(","))
+    system = parse_coins(body)
     ann: dict[str, str] = {}
     for item in tail.split():
         key, _, value = item.partition("=")

@@ -5,9 +5,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincanon import (
     BudgetExhausted,
+    InvalidSystem,
     Overflow,
     arithmetic_system,
     enumerate_all,
@@ -23,6 +26,7 @@ from coincanon import (
     read_corpus,
     tight_corpus,
 )
+from coincanon.generate import parse_coins
 
 
 def test_family_examples():
@@ -119,6 +123,11 @@ def test_corpus_line_round_trip():
     assert parse_corpus_line("# pure comment") is None
     bare, ann2 = parse_corpus_line("1,2,4")
     assert bare.denoms == (1, 2, 4) and ann2 == {}
+    # The body is parsed by ``parse_coins``, so malformed bodies raise
+    # ``InvalidSystem`` as the CLI does.
+    for bad in ("abc", "1,,5", "1, 5,", "1," + "9" * 5000, "1,5,5 # x=1"):
+        with pytest.raises(InvalidSystem):
+            parse_corpus_line(bad)
 
 
 def test_read_corpus():
@@ -140,3 +149,39 @@ def test_named_families_are_canonical_small():
         m = rng.randint(1, 6)
         s = family(kind, m, step=rng.randint(1, 6), ratio=rng.randint(2, 4))
         assert is_canonical_oracle(s).canonical, s
+
+
+# Valid systems, comma-joined fields (some malformed) with an optional
+# annotation tail, and arbitrary text, so the draws reach both outcomes.
+_fields = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["", " 7 ", "x", "1_0", "\u0663", "9" * 30, "+4", "0x5"]),
+)
+_corpus_text = st.one_of(
+    st.lists(st.integers(2, 60), unique=True, max_size=6).map(
+        lambda v: ",".join(map(str, [1] + sorted(v)))
+    ),
+    st.tuples(
+        st.lists(_fields, min_size=1, max_size=8).map(",".join),
+        st.sampled_from(["", " # tight=1 x=14", "#", " # a=b=c"]),
+    ).map("".join),
+    st.text(alphabet="0123456789,# =-+_ \t\n", max_size=40),
+    st.text(max_size=40),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_corpus_text)
+def test_parsers_return_a_system_or_raise_invalid_system(text):
+    for parse in (parse_coins, parse_corpus_line):
+        try:
+            parsed = parse(text)
+        except InvalidSystem:
+            continue
+        if parse is parse_corpus_line:
+            if parsed is None:
+                assert not text.partition("#")[0].strip()
+                continue
+            parsed = parsed[0]
+        assert parsed.denoms[0] == 1
+        assert all(a < b for a, b in zip(parsed.denoms, parsed.denoms[1:]))

@@ -8,6 +8,7 @@ import pytest
 from coincanon import (
     LimitExceeded,
     counterexample_at,
+    disjoint_support,
     first_counterexample_in,
     greedy,
     is_canonical_oracle,
@@ -160,6 +161,11 @@ def test_disjoint_support_at_smallest_counterexample():
         assert any(
             greedy_support.isdisjoint(r.support()) for r in reps.representations
         )
+        # The universal form, against the enumeration as the reference.
+        assert all(
+            greedy_support.isdisjoint(r.support()) for r in reps.representations
+        )
+        assert disjoint_support(s).holds
     assert checked > 30
 
 

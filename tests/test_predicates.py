@@ -33,15 +33,17 @@ def test_disjoint_support_examples():
     assert disjoint_support(new_coin_system([1, 3, 4])).outcome is Outcome.HOLDS
 
 
-def test_disjoint_support_universal_is_reported_not_asserted():
-    # The universal form may fail; it must still evaluate without error.
+def test_disjoint_support_universal_never_fails():
+    # The universal form is a theorem (see ``disjoint_support``), checked by
+    # the same code as the existential form.
+    assert disjoint_support_universal is disjoint_support
     rng = random.Random(40)
     outcomes = set()
     for _ in range(200):
         m = rng.randint(3, 5)
         s = new_coin_system([1] + sorted(rng.sample(range(2, 50), m - 1)))
         outcomes.add(disjoint_support_universal(s).outcome)
-    assert Outcome.FAILS not in outcomes or True  # informational only
+    assert Outcome.FAILS not in outcomes
     assert Outcome.HOLDS in outcomes
 
 
