@@ -252,6 +252,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coincanon",
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON object")
-        p.add_argument("--dp-budget", type=int, default=None, metavar="N",
+        p.add_argument("--dp-budget", type=_budget, default=None, metavar="N",
                        help="cap on table entries for scans (default 2**28)")
 
     p = sub.add_parser("check", help="decide canonicity of one system")

@@ -13,7 +13,7 @@ from random import Random
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import BudgetExhausted, CoinSystem, InvalidSystem, Verdict, new_coin_system
-from .oracle import _guard, _scan, is_canonical_oracle
+from .oracle import _scan, is_canonical_oracle
 
 
 def arithmetic_system(m: int, step: int = 1) -> CoinSystem:
@@ -94,8 +94,7 @@ def tight_corpus(
         if denoms in seen:
             continue
         seen.add(denoms)
-        _guard(denoms[-1], budget)
-        hit, _, _ = _scan(denoms, 1, denoms[-1])
+        hit, _, _ = _scan(denoms, 1, denoms[-1], budget)
         if hit is not None:  # a counterexample below the top coin: not tight
             continue
         system = CoinSystem(denoms)
@@ -147,8 +146,7 @@ def near_arithmetic_corpus(
         if denoms in seen:
             continue
         seen.add(denoms)
-        _guard(denoms[-1], budget)
-        hit, _, _ = _scan(denoms, 1, denoms[-1])
+        hit, _, _ = _scan(denoms, 1, denoms[-1], budget)
         if hit is not None:
             continue
         system = CoinSystem(denoms)
@@ -182,17 +180,19 @@ def annotate(system: CoinSystem, verdict: Verdict, tight: bool) -> dict[str, obj
 
 
 def parse_coins(text: str) -> CoinSystem:
-    """Comma-separated decimal denominations; whitespace around each is
-    tolerated, empty fields are not."""
+    """Comma-separated decimal denominations, ASCII digits only; whitespace
+    around each is tolerated, empty fields are not."""
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise InvalidSystem("no denominations given")
     if "" in parts:
         raise InvalidSystem(f"empty denomination field in {text!r}")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise InvalidSystem(f"denominations must be decimal integers: {text!r}")
     try:
         values = [int(p) for p in parts]
-    except ValueError:
-        raise InvalidSystem(f"denominations must be decimal integers: {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise InvalidSystem(f"a denomination in {text!r} has too many digits") from None
     duplicates = sorted(v for v, k in Counter(values).items() if k > 1)
     if duplicates:
         raise InvalidSystem(f"duplicate denomination(s): {duplicates}")

@@ -23,13 +23,21 @@ from .core import (
 from .solvers import _optimal_counts, greedy, optimal
 
 
+def _guard(stop: int, budget: Optional[int]) -> None:
+    cap = DEFAULT_DP_BUDGET if budget is None else budget
+    if stop > cap:
+        raise LimitExceeded(f"scan over {stop} amounts exceeds the budget of {cap}")
+
+
 def _scan(
     denoms: tuple[int, ...],
     start: int,
     stop: int,
+    budget: Optional[int],
     stop_at_hit: bool = True,
 ) -> tuple[Optional[int], list[int], list[int]]:
-    """Compare greedy and optimal sizes for every amount in [start, stop).
+    """Compare greedy and optimal sizes for every amount in [start, stop),
+    after checking ``stop`` against the budget (``LimitExceeded``).
 
     Returns ``(hit, greedy_sizes, opt_sizes)`` where ``hit`` is the first
     amount whose greedy size exceeds its optimal size (None if there is
@@ -37,6 +45,7 @@ def _scan(
     stopped early, in which case they end at ``hit``: they grow one amount
     at a time, so an early hit never pays for the rest of the window.
     """
+    _guard(stop, budget)
     if stop <= 1:
         return None, [0], [0]
     opt = [0]
@@ -70,12 +79,6 @@ def _scan(
     return hit, grd, opt
 
 
-def _guard(stop: int, budget: Optional[int]) -> None:
-    cap = DEFAULT_DP_BUDGET if budget is None else budget
-    if stop > cap:
-        raise LimitExceeded(f"scan over {stop} amounts exceeds the budget of {cap}")
-
-
 def counterexample_at(
     system: CoinSystem, x: int, budget: Optional[int] = None
 ) -> Optional[Counterexample]:
@@ -95,8 +98,7 @@ def first_counterexample_in(
     The optimal representation is backtracked from the scan's own size
     table, with the same larger-coin-first tie-break as ``optimal()``.
     """
-    _guard(stop, budget)
-    hit, _, opt = _scan(system.denoms, max(start, 1), stop)
+    hit, _, opt = _scan(system.denoms, max(start, 1), stop, budget)
     if hit is None:
         return None
     counts = _optimal_counts(system.denoms, opt, hit)

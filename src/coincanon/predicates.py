@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .core import CoinSystem
 from .characterize import _kz3_non_canonical
 from .fastcheck import _is_pair_sum
-from .oracle import _guard, _scan
+from .oracle import _scan
 from .solvers import _greedy_counts
 
 
@@ -85,9 +85,7 @@ class _Scans:
         d = self.denoms
         if len(d) < 3:
             return None, [0]
-        stop = 2 * d[-1]
-        _guard(stop, self.budget)
-        hit, _, opt = _scan(d, 1, stop)
+        hit, _, opt = _scan(d, 1, 2 * d[-1], self.budget)
         return hit, opt
 
     @_once
@@ -110,8 +108,7 @@ class _Scans:
         if x < d[-1]:
             return "full system not tight"
         p = d[:-1]
-        # The prefix window ends below 2*top, which ``smallest`` has guarded.
-        px, _, _ = _scan(p, 1, p[-2] + p[-1])
+        px, _, _ = _scan(p, 1, p[-2] + p[-1], self.budget)
         if px is None:
             return "prefix without the top coin is canonical"
         if px < p[-1]:
@@ -122,9 +119,8 @@ class _Scans:
     def arrays(self) -> tuple[list[int], list[int]]:
         """Greedy and optimal sizes for every amount up to ``2*c_{m-1}``,
         read by the pair-witness and gap results."""
-        stop = 2 * self.denoms[-2] + 1
-        # The window ends below 2*top, which ``smallest`` has guarded.
-        _, grd, opt = _scan(self.denoms, 1, stop, stop_at_hit=False)
+        d = self.denoms
+        _, grd, opt = _scan(d, 1, 2 * d[-2] + 1, self.budget, stop_at_hit=False)
         return grd, opt
 
 

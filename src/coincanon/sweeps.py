@@ -14,13 +14,16 @@ code as its standalone function in :mod:`coincanon.predicates`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Iterable, Optional
 
-from .core import CoinSystem, LimitExceeded, Verdict
-from .oracle import _guard, _scan
+from .core import CoinSystem, Verdict
+from .oracle import _scan
 from .predicates import _RULES, PREDICATES, Outcome, PredicateResult, _Scans
 
 PREDICATE_NAMES = tuple(PREDICATES)
+MAX_MISMATCHES = 5  # disagreements kept per EquivalenceReport
+MAX_FAILURES = 20  # predicate failures kept per SweepReport
 
 
 @dataclass
@@ -38,14 +41,37 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-def _oracle_scan_value(denoms: tuple[int, ...], budget: Optional[int]) -> Optional[int]:
-    """Smallest-counterexample value per the oracle's window scan."""
-    if len(denoms) < 3:
-        return None
-    stop = denoms[-2] + denoms[-1]
-    _guard(stop, budget)
-    hit, _, _ = _scan(denoms, denoms[2] + 2, stop)
-    return hit
+def _amount(verdict: Verdict) -> Optional[int]:
+    return None if verdict.witness is None else verdict.witness.x
+
+
+def _compare(
+    method: str,
+    found: Callable[[CoinSystem], Optional[int]],
+    systems: Iterable[CoinSystem],
+    exact: bool,
+) -> EquivalenceReport:
+    """Run the oracle's window scan on every system and record where
+    ``found`` disagrees with it.
+
+    ``found(system)`` is the checker's witness amount, or None when the
+    checker says canonical. A mismatch is a different verdict, or with
+    ``exact`` a different amount.
+    """
+    report = EquivalenceReport(method)
+    for system in systems:
+        d = system.denoms
+        oracle_x = None if len(d) < 3 else _scan(d, d[2] + 2, d[-2] + d[-1], None)[0]
+        x = found(system)
+        report.total += 1
+        if oracle_x is None:
+            report.canonical += 1
+        else:
+            report.non_canonical += 1
+        agree = x == oracle_x if exact else (x is None) == (oracle_x is None)
+        if not agree and len(report.mismatches) < MAX_MISMATCHES:
+            report.mismatches.append((system, f"oracle {oracle_x}, {method} {x}"))
+    return report
 
 
 def compare_with_oracle(
@@ -53,73 +79,32 @@ def compare_with_oracle(
     checker: Callable[[CoinSystem], Verdict],
     systems: Iterable[CoinSystem],
     compare_witness_value: bool = False,
-    budget: Optional[int] = None,
-    max_mismatches: int = 5,
 ) -> EquivalenceReport:
     """Run ``checker`` and the oracle on every system and collect disagreements."""
-    report = EquivalenceReport(method)
-    for system in systems:
-        oracle_x = _oracle_scan_value(system.denoms, budget)
-        verdict = checker(system)
-        report.total += 1
-        if oracle_x is None:
-            report.canonical += 1
-        else:
-            report.non_canonical += 1
-        if verdict.canonical != (oracle_x is None):
-            if len(report.mismatches) < max_mismatches:
-                report.mismatches.append(
-                    (system, f"oracle {oracle_x}, {method} says canonical={verdict.canonical}")
-                )
-            continue
-        if compare_witness_value and oracle_x is not None and verdict.witness.x != oracle_x:
-            if len(report.mismatches) < max_mismatches:
-                report.mismatches.append(
-                    (system, f"oracle witness {oracle_x}, {method} witness {verdict.witness.x}")
-                )
-    return report
+    return _compare(method, lambda s: _amount(checker(s)), systems, compare_witness_value)
 
 
 def pearson_equivalence_sweep(
-    systems: Iterable[CoinSystem],
-    budget: Optional[int] = None,
-    full_check_stride: int = 997,
-    max_mismatches: int = 5,
+    systems: Iterable[CoinSystem], full_check_stride: int = 997
 ) -> EquivalenceReport:
     """Compare the Pearson candidate scan against the oracle scan on both the
     verdict and the smallest-witness value.
 
-    The candidate scan is what determines both; every ``full_check_stride``-th
-    system additionally runs the public ``pearson_check`` wrapper and verifies
-    that its materialized witness carries exactly the scan's value (the
-    Counterexample constructor re-checks the size invariants).
+    Every ``full_check_stride``-th system goes through the public
+    ``pearson_check`` wrapper instead, whose materialized witness must carry
+    the oracle's value (the Counterexample constructor re-checks the size
+    invariants).
     """
     from .fastcheck import _pearson_scan, pearson_check
 
-    report = EquivalenceReport("pearson")
-    for system in systems:
-        d = system.denoms
-        oracle_x = _oracle_scan_value(d, budget)
-        pearson_x = _pearson_scan(d)
-        report.total += 1
-        if oracle_x is None:
-            report.canonical += 1
-        else:
-            report.non_canonical += 1
-        if oracle_x != pearson_x:
-            if len(report.mismatches) < max_mismatches:
-                report.mismatches.append(
-                    (system, f"oracle {oracle_x}, pearson scan {pearson_x}")
-                )
-            continue
-        if report.total % full_check_stride == 0:
-            verdict = pearson_check(system, budget)
-            witness_x = None if verdict.witness is None else verdict.witness.x
-            if witness_x != pearson_x and len(report.mismatches) < max_mismatches:
-                report.mismatches.append(
-                    (system, f"wrapper witness {witness_x}, scan {pearson_x}")
-                )
-    return report
+    index = count(1)
+
+    def found(system: CoinSystem) -> Optional[int]:
+        if next(index) % full_check_stride:
+            return _pearson_scan(system.denoms)
+        return _amount(pearson_check(system))
+
+    return _compare("pearson", found, systems, exact=True)
 
 
 def evaluate_predicates(
@@ -142,21 +127,19 @@ class SweepReport:
     not_applicable: dict[str, int] = field(default_factory=dict)
     failures: list[tuple[CoinSystem, str, str]] = field(default_factory=list)
 
-    def merge_one(
-        self, system: CoinSystem, results: dict[str, PredicateResult], max_failures: int = 20
-    ) -> None:
+    def merge_one(self, system: CoinSystem, results: dict[str, PredicateResult]) -> None:
         self.total += 1
         for name, res in results.items():
             if res.outcome is Outcome.HOLDS:
                 self.holds[name] = self.holds.get(name, 0) + 1
             elif res.outcome is Outcome.FAILS:
                 self.fails[name] = self.fails.get(name, 0) + 1
-                if len(self.failures) < max_failures:
+                if len(self.failures) < MAX_FAILURES:
                     self.failures.append((system, name, res.detail))
             else:
                 self.not_applicable[name] = self.not_applicable.get(name, 0) + 1
 
-    def merge(self, other: "SweepReport", max_failures: int = 20) -> None:
+    def merge(self, other: "SweepReport") -> None:
         self.total += other.total
         for src, dst in (
             (other.holds, self.holds),
@@ -165,9 +148,7 @@ class SweepReport:
         ):
             for name, k in src.items():
                 dst[name] = dst.get(name, 0) + k
-        for item in other.failures:
-            if len(self.failures) < max_failures:
-                self.failures.append(item)
+        self.failures.extend(other.failures[: MAX_FAILURES - len(self.failures)])
 
     @property
     def clean(self) -> bool:
@@ -178,15 +159,10 @@ def predicate_sweep(
     systems: Iterable[CoinSystem],
     names: Iterable[str] = PREDICATE_NAMES,
     budget: Optional[int] = None,
-    skip_limit_errors: bool = False,
 ) -> SweepReport:
     """Evaluate the named predicates over a corpus and aggregate outcomes."""
     names = tuple(names)
     report = SweepReport()
     for system in systems:
-        try:
-            report.merge_one(system, evaluate_predicates(system, names, budget))
-        except LimitExceeded:
-            if not skip_limit_errors:
-                raise
+        report.merge_one(system, evaluate_predicates(system, names, budget))
     return report

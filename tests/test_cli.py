@@ -22,8 +22,9 @@ def test_parse_coins():
     from coincanon import InvalidSystem
     with pytest.raises(InvalidSystem, match="duplicate"):
         parse_coins("1,5,5,10")
-    with pytest.raises(InvalidSystem):
-        parse_coins("1,5,x")
+    for text in ("1,5,x", "1,1_0", "1,\u0663", "1, +4"):  # ASCII digits only
+        with pytest.raises(InvalidSystem):
+            parse_coins(text)
     with pytest.raises(InvalidSystem):
         parse_coins("")
     for text in ("1,,5", "1,5,", ",1,5", "1, ,5"):
@@ -125,6 +126,8 @@ def test_usage_errors(capsys):
     assert run(["check", "1,5,5"]) == 2      # duplicate
     assert run(["check", "abc"]) == 2
     assert run(["check", "1,,5"]) == 2      # empty field
+    assert run(["check", "1,5,10", "--dp-budget", "-1"]) == 2
+    assert run(["check", "1,5,10", "--method", "oracle", "--dp-budget", "0"]) == 2
     assert run(["check", "1,3,4", "--method", "tight-verbatim"]) == 2  # arity
     assert run(["check", "1,7,10,50,60,70", "--method", "tight-extended"]) == 2  # not tight
     assert run(["nonsense"]) == 2

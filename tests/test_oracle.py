@@ -107,11 +107,11 @@ def test_scan_witness_equals_dp_witness():
 
 def test_scan_arrays_end_at_the_hit():
     d = (1, 3, 4)
-    hit, grd, opt = _scan(d, 1, 1000)
+    hit, grd, opt = _scan(d, 1, 1000, None)
     assert hit == 6 and len(grd) == len(opt) == 7
-    hit, grd, opt = _scan(d, 1, 1000, stop_at_hit=False)
+    hit, grd, opt = _scan(d, 1, 1000, None, stop_at_hit=False)
     assert hit == 6 and len(grd) == len(opt) == 1000
-    hit, grd, opt = _scan((1, 5, 10, 25), 1, 60)
+    hit, grd, opt = _scan((1, 5, 10, 25), 1, 60, None)
     assert hit is None and len(grd) == len(opt) == 60
     assert opt[:7] == [0, 1, 2, 3, 4, 1, 2]
 
@@ -173,6 +173,8 @@ def test_budget_guard():
     s = new_coin_system([1, 7, 10, 5000])
     with pytest.raises(LimitExceeded):
         smallest_counterexample(s, budget=100)
+    with pytest.raises(LimitExceeded):
+        _scan(s.denoms, 1, 101, 100)
 
 
 def test_greedy_never_below_optimal():

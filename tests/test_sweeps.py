@@ -11,6 +11,7 @@ from coincanon.sweeps import (
     EquivalenceReport,
     compare_with_oracle,
     evaluate_predicates,
+    pearson_equivalence_sweep,
     predicate_sweep,
 )
 
@@ -98,3 +99,43 @@ def test_compare_with_oracle_witness_values():
         "pearson", pearson_check, enumerate_all(4, 16), compare_witness_value=True
     )
     assert report.agree
+
+
+def test_exact_mode_flags_a_witness_that_is_not_the_smallest():
+    # check_four's one-point witness is a counterexample but not always the
+    # smallest one: on 1,3,5,6 the oracle finds 8 and check_four gives 10.
+    from coincanon import check_four
+    report = compare_with_oracle(
+        "four", check_four, enumerate_all(4, 16), compare_witness_value=True
+    )
+    assert not report.agree
+    assert (new_coin_system([1, 3, 5, 6]), "oracle 8, four 10") in report.mismatches
+
+
+def test_pearson_equivalence_sweep_counts_match_compare_with_oracle():
+    from coincanon import pearson_check
+    want = compare_with_oracle(
+        "pearson", pearson_check, enumerate_all(5, 20), compare_witness_value=True
+    )
+    assert want.agree and want.total == 3_876  # C(19, 4)
+    for report in (
+        pearson_equivalence_sweep(enumerate_all(5, 20)),
+        pearson_equivalence_sweep(enumerate_all(5, 20), full_check_stride=1),
+    ):
+        assert report.agree, report.mismatches
+        assert (report.total, report.canonical, report.non_canonical) == (
+            want.total, want.canonical, want.non_canonical
+        )
+
+
+def test_pearson_equivalence_sweep_catches_a_wrong_scan_or_wrapper(monkeypatch):
+    import coincanon.fastcheck
+    monkeypatch.setattr(coincanon.fastcheck, "_pearson_scan", lambda denoms: None)
+    for stride in (997, 1):
+        report = pearson_equivalence_sweep(enumerate_all(5, 20), full_check_stride=stride)
+        assert not report.agree
+        assert report.non_canonical > 0
+    monkeypatch.undo()
+    # With stride 1 every system goes through the wrapper instead of the scan.
+    monkeypatch.setattr(coincanon.fastcheck, "pearson_check", lambda system: Verdict())
+    assert not pearson_equivalence_sweep(enumerate_all(5, 20), full_check_stride=1).agree
