@@ -12,25 +12,10 @@ import math
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import CoinSystem, Verdict
-from .fastcheck import (
-    is_canonical_tight_extended,
-    is_canonical_tight_verbatim,
-    pearson_check,
-)
+from .fastcheck import METHODS, TIGHT_METHODS
 from .generate import arithmetic_system
-from .oracle import is_canonical_oracle
-
-METHODS: dict[str, Callable[[CoinSystem], Verdict]] = {
-    "oracle": is_canonical_oracle,
-    "pearson": pearson_check,
-    "tight-verbatim": lambda s: is_canonical_tight_verbatim(s).verdict,
-    "tight-extended": lambda s: is_canonical_tight_extended(s).verdict,
-}
-
-_TIGHT_METHODS = ("tight-verbatim", "tight-extended")
 
 
 @dataclass(frozen=True)
@@ -48,23 +33,24 @@ def scaling_run(
     sizes: Sequence[int],
     trials: int = 3,
 ) -> list[BenchRow]:
-    """Time each method on arithmetic systems of each size."""
+    """Time each ``fastcheck.METHODS`` decider on arithmetic systems of each
+    size, with the default budget."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
-        if name in _TIGHT_METHODS and any(size < 6 for size in sizes):
+        if name in TIGHT_METHODS and any(size < 6 for size in sizes):
             raise ValueError(f"{name} needs sizes of at least 6 denominations")
     rows = []
     for size in sizes:
         system = arithmetic_system(size, 1)
         for name in methods:
             fn = METHODS[name]
-            fn(system)
+            fn(system, None)
             for trial in range(trials):
                 t0 = time.perf_counter_ns()
-                verdict = fn(system)
+                verdict = fn(system, None)
                 elapsed = time.perf_counter_ns() - t0
                 rows.append(BenchRow(
                     name, size, system.largest, trial, elapsed,

@@ -49,14 +49,14 @@ def _kz3_non_canonical(denoms: tuple[int, ...]) -> bool:
     return 0 < r < denoms[1] - q
 
 
-def check_three(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
+def check_three(system: CoinSystem) -> Verdict:
     """Decide a three-coin system from its quotient/remainder analysis.
 
     The witness of a non-canonical verdict is closed form: the smallest
     counterexample is ``x = (q+1)*c2``, and ``q+1`` copies of c2 is its only
     optimal representation (one c3 leaves ``c2 - r`` in unit coins, which
     needs more than ``q`` of them; two c3 exceed x). No table is built, so
-    ``budget`` is never reached; it is kept for a uniform checker signature.
+    no budget applies.
     """
     analysis = kz3_analysis(system)
     if not analysis.non_canonical:
@@ -78,9 +78,7 @@ def _one_point_amount(denoms: tuple[int, ...]) -> Optional[int]:
     return x if _greedy_size(denoms, x) > k + 1 else None
 
 
-def one_point_extension(
-    prefix: CoinSystem, c_new: int, budget: Optional[int] = None
-) -> Verdict:
+def one_point_extension(prefix: CoinSystem, c_new: int) -> Verdict:
     """Decide the system ``prefix + (c_new,)`` assuming the prefix is canonical.
 
     With ``k = c_new // c_m``: exact multiples of the largest prefix coin keep
@@ -88,8 +86,7 @@ def one_point_extension(
     the greedy representation of ``x = (k+1)*c_m`` uses more than ``k+1``
     coins, and x is the reported witness. The caller certifies that the
     prefix is canonical; then ``k+1`` copies of c_m is the representation
-    ``optimal()`` would return, so it is built without a table and
-    ``budget`` is never reached.
+    ``optimal()`` would return, so it is built without a table.
     """
     top = prefix.denoms[-1]
     if c_new <= top:
@@ -135,7 +132,7 @@ def check_four(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
         raise WrongArity(f"check_four needs exactly 4 denominations, got {system.m}")
     if _kz3_non_canonical(system.denoms):
         return Verdict(propagation_witness(system, budget))
-    return one_point_extension(system.prefix(3), system.denoms[3], budget)
+    return one_point_extension(system.prefix(3), system.denoms[3])
 
 
 def check_five(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
@@ -157,7 +154,7 @@ def check_five(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
         return Verdict(propagation_witness(system, budget))
     y = _one_point_amount(d[:4])
     if y is None:
-        return one_point_extension(system.prefix(4), d[4], budget)
+        return one_point_extension(system.prefix(4), d[4])
     in_family = d[1] == 2 and d[3] == d[2] + 1 and d[4] == 2 * d[2] and d[2] > 3
     if in_family:
         return Verdict()

@@ -13,23 +13,9 @@ import sys
 import time
 from typing import Optional
 
-from .core import (
-    BudgetExhausted,
-    CoinSystem,
-    Counterexample,
-    InvalidSystem,
-    LimitExceeded,
-    NotAnExtension,
-    Verdict,
-    WrongArity,
-)
-from .bench import METHODS as BENCH_METHODS, scaling_run
-from .characterize import check_five, check_four, check_three
-from .fastcheck import (
-    is_canonical_tight_extended,
-    is_canonical_tight_verbatim,
-    pearson_check,
-)
+from .core import BudgetExhausted, CoinSystem, Counterexample, LimitExceeded, Verdict
+from .bench import scaling_run
+from .fastcheck import METHODS, TIGHT_METHODS
 from .generate import (
     annotate,
     enumerate_all,
@@ -40,7 +26,7 @@ from .generate import (
     read_corpus,
     tight_corpus,
 )
-from .oracle import is_canonical_oracle, is_tight, smallest_counterexample
+from .oracle import is_tight, smallest_counterexample
 from .sweeps import PREDICATE_NAMES, predicate_sweep
 
 EXIT_OK = 0
@@ -87,23 +73,11 @@ def _emit_verdict(args, system: CoinSystem, verdict: Verdict, method: str,
     return EXIT_OK if verdict.canonical else EXIT_NEGATIVE
 
 
-def _auto_check(system: CoinSystem, budget: Optional[int]) -> Verdict:
-    if system.m <= 2:
-        return Verdict()
-    if system.m == 3:
-        return check_three(system, budget)
-    if system.m == 4:
-        return check_four(system, budget)
-    if system.m == 5:
-        return check_five(system, budget)
-    return pearson_check(system, budget)
-
-
 def _cmd_check(args) -> int:
     system = parse_coins(args.coins)
     method = args.method
     budget = args.dp_budget
-    if method in ("tight-verbatim", "tight-extended"):
+    if method in TIGHT_METHODS:
         if system.m < 6:
             print(f"error: {method} needs at least 6 denominations", file=sys.stderr)
             return EXIT_USAGE
@@ -118,16 +92,7 @@ def _cmd_check(args) -> int:
                 )
                 return EXIT_USAGE
     t0 = time.perf_counter_ns()
-    if method == "auto":
-        verdict = _auto_check(system, budget)
-    elif method == "oracle":
-        verdict = is_canonical_oracle(system, budget)
-    elif method == "pearson":
-        verdict = pearson_check(system, budget)
-    elif method == "tight-verbatim":
-        verdict = is_canonical_tight_verbatim(system, budget).verdict
-    else:
-        verdict = is_canonical_tight_extended(system, budget).verdict
+    verdict = METHODS[method](system, budget)
     elapsed = time.perf_counter_ns() - t0
     return _emit_verdict(args, system, verdict, method, elapsed)
 
@@ -174,31 +139,25 @@ def _corpus_out(args, lines) -> int:
 
 def _cmd_gen(args) -> int:
     budget = args.dp_budget
-    if args.family:
-        system = family(args.family, args.m, step=args.step, ratio=args.ratio)
-        systems = [system]
-    elif args.enumerate:
-        systems = enumerate_all(args.m, args.cmax)
-    else:  # --random
-        if args.tight:
-            entries = tight_corpus(args.m, args.cmax, args.seed, args.count, budget=budget)
-            if args.json:
-                lines = (
-                    json.dumps({"system": list(s.denoms), **annotate(s, v, tight=True)})
-                    for s, v in entries
-                )
-            else:
-                lines = (
-                    format_corpus_line(s, annotate(s, v, tight=True)) for s, v in entries
-                )
-            return _corpus_out(args, lines)
-        systems = (random_system(args.m, args.cmax, args.seed + i) for i in range(args.count))
-    if args.tight:
-        systems = (s for s in systems if is_tight(s, budget)[0])
-    if args.json:
-        lines = (json.dumps({"system": list(s.denoms)}) for s in systems)
+    if args.random and args.tight:  # annotated by the tightness-filtered generator
+        entries = (
+            (s, annotate(s, v, tight=True))
+            for s, v in tight_corpus(args.m, args.cmax, args.seed, args.count, budget=budget)
+        )
     else:
-        lines = (format_corpus_line(s) for s in systems)
+        if args.family:
+            systems = [family(args.family, args.m, step=args.step, ratio=args.ratio)]
+        elif args.enumerate:
+            systems = enumerate_all(args.m, args.cmax)
+        else:  # --random
+            systems = (random_system(args.m, args.cmax, args.seed + i) for i in range(args.count))
+        if args.tight:
+            systems = (s for s in systems if is_tight(s, budget)[0])
+        entries = ((s, {}) for s in systems)
+    if args.json:
+        lines = (json.dumps({"system": list(s.denoms), **ann}) for s, ann in entries)
+    else:
+        lines = (format_corpus_line(s, ann) for s, ann in entries)
     return _corpus_out(args, lines)
 
 
@@ -266,30 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON object")
-        p.add_argument("--dp-budget", type=_budget, default=None, metavar="N",
-                       help="cap on table entries for scans (default 2**28)")
-
     p = sub.add_parser("check", help="decide canonicity of one system")
     p.add_argument("coins", help="comma-separated denominations, e.g. 1,5,10,25")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "oracle", "pearson", "tight-verbatim", "tight-extended"],
+    p.add_argument("--method", default="auto", choices=list(METHODS),
                    help="auto uses the arity-specific checks up to 5 coins, "
                         "then Pearson's scan")
     p.add_argument("--skip-tight-check", action="store_true",
                    help="skip the tightness verification before tight-* methods")
-    add_common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("witness", help="smallest counterexample of one system")
     p.add_argument("coins")
-    add_common(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("tight", help="does the system lack counterexamples below its top coin?")
     p.add_argument("coins")
-    add_common(p)
     p.set_defaults(func=_cmd_tight)
 
     p = sub.add_parser("gen", help="emit corpus lines")
@@ -306,24 +256,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tight", action="store_true",
                    help="keep only tight systems (annotated for --random)")
     p.add_argument("--out", default="-", help="output file (default stdout)")
-    add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="run predicate sweeps over a corpus file")
     p.add_argument("--corpus", required=True, help="corpus file, or - for stdin")
     p.add_argument("--predicate", default="all",
                    choices=list(PREDICATE_NAMES) + ["all"])
-    add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time checkers on arithmetic families, CSV output")
     p.add_argument("--methods", default="pearson,tight-extended",
-                   help=f"comma-separated subset of {','.join(BENCH_METHODS)}")
+                   help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--sizes", required=True, help="comma-separated system sizes")
     p.add_argument("--trials", type=int, default=3)
-    add_common(p)
     p.set_defaults(func=_cmd_bench)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true", help="emit a JSON object")
+        if name != "bench":  # bench times fixed inputs at the default budget
+            p.add_argument("--dp-budget", type=_budget, default=None, metavar="N",
+                           help="cap on table entries for scans (default 2**28)")
     return parser
 
 
@@ -338,10 +290,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (LimitExceeded, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InvalidSystem, WrongArity, NotAnExtension, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InvalidSystem and the like are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,5 +1,6 @@
 """Fast canonicity deciders: Pearson's general check and the quadratic
-pair-scan check for tight systems.
+pair-scan check for tight systems, and ``METHODS``, the table of every
+decider the CLI's ``check --method`` and ``bench --methods`` accept.
 
 ``pearson_check`` works on any system and pins down the smallest
 counterexample. The tight checks trade generality for speed: they only
@@ -11,7 +12,7 @@ by a genuine counterexample regardless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from .core import (
     CoinSystem,
@@ -19,8 +20,15 @@ from .core import (
     Verdict,
     WrongArity,
 )
-from .characterize import _kz3_non_canonical, _one_point_amount, propagation_witness
-from .oracle import counterexample_at
+from .characterize import (
+    _kz3_non_canonical,
+    _one_point_amount,
+    check_five,
+    check_four,
+    check_three,
+    propagation_witness,
+)
+from .oracle import counterexample_at, is_canonical_oracle
 from .solvers import _greedy_counts, _greedy_size
 
 
@@ -154,6 +162,32 @@ def is_canonical_tight_extended(
     see.
     """
     return _tight_check(system, "extended", budget)
+
+
+def _auto_check(system: CoinSystem, budget: Optional[int]) -> Verdict:
+    if system.m <= 2:
+        return Verdict()
+    if system.m == 3:
+        return check_three(system)
+    if system.m == 4:
+        return check_four(system, budget)
+    if system.m == 5:
+        return check_five(system, budget)
+    return pearson_check(system, budget)
+
+
+# Every decider by its ``check --method`` name, as ``(system, budget) -> Verdict``.
+# ``auto`` takes the arity-specific check up to five coins, then Pearson's scan.
+METHODS: dict[str, Callable[[CoinSystem, Optional[int]], Verdict]] = {
+    "auto": _auto_check,
+    "oracle": is_canonical_oracle,
+    "pearson": pearson_check,
+    "tight-verbatim": lambda system, budget: is_canonical_tight_verbatim(system, budget).verdict,
+    "tight-extended": lambda system, budget: is_canonical_tight_extended(system, budget).verdict,
+}
+# The deciders that need at least six coins and promise exact verdicts only
+# on tight systems.
+TIGHT_METHODS = ("tight-verbatim", "tight-extended")
 
 
 def _is_pair_sum(denoms: tuple[int, ...], x: int) -> bool:

@@ -71,6 +71,36 @@ def random_system(m: int, cmax: int, seed: int) -> CoinSystem:
     return CoinSystem((1,) + tuple(sorted(rest)))
 
 
+def _first_tight(
+    draws: Iterable[Optional[tuple[int, ...]]],
+    target_count: int,
+    budget: Optional[int],
+    noun: str,
+    where: str,
+) -> list[tuple[CoinSystem, Verdict]]:
+    """The first ``target_count`` distinct tight systems among ``draws``, each
+    annotated with its oracle verdict. A None draw is rejected but still
+    counts as an attempt; running out of draws raises ``BudgetExhausted``."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[CoinSystem, Verdict]] = []
+    attempts = 0
+    for attempts, denoms in enumerate(draws, 1):
+        if denoms is None or denoms in seen:
+            continue
+        seen.add(denoms)
+        hit, _, _ = _scan(denoms, 1, denoms[-1], budget)
+        if hit is not None:  # a counterexample below the top coin: not tight
+            continue
+        system = CoinSystem(denoms)
+        out.append((system, is_canonical_oracle(system, budget)))
+        if len(out) == target_count:
+            return out
+    raise BudgetExhausted(
+        f"found {len(out)} {noun} of {target_count} wanted "
+        f"within {attempts} attempts ({where})"
+    )
+
+
 def tight_corpus(
     m: int,
     cmax: int,
@@ -87,33 +117,12 @@ def tight_corpus(
         max_attempts = 2_000 * target_count
     rng = Random(seed)
     population = range(2, cmax + 1)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[CoinSystem, Verdict]] = []
-    for _ in range(max_attempts):
-        denoms = (1,) + tuple(sorted(rng.sample(population, m - 1)))
-        if denoms in seen:
-            continue
-        seen.add(denoms)
-        hit, _, _ = _scan(denoms, 1, denoms[-1], budget)
-        if hit is not None:  # a counterexample below the top coin: not tight
-            continue
-        system = CoinSystem(denoms)
-        out.append((system, is_canonical_oracle(system, budget)))
-        if len(out) == target_count:
-            return out
-    raise BudgetExhausted(
-        f"found {len(out)} tight systems of {target_count} wanted "
-        f"within {max_attempts} attempts (m={m}, cmax={cmax})"
-    )
+    draws = ((1,) + tuple(sorted(rng.sample(population, m - 1))) for _ in range(max_attempts))
+    return _first_tight(draws, target_count, budget, "tight systems", f"m={m}, cmax={cmax}")
 
 
 def near_arithmetic_corpus(
-    m: int,
-    cmax: int,
-    seed: int,
-    target_count: int,
-    max_attempts: Optional[int] = None,
-    budget: Optional[int] = None,
+    m: int, cmax: int, seed: int, target_count: int
 ) -> list[tuple[CoinSystem, Verdict]]:
     """Tight systems mutated from dense runs: 1..T with a few interior values
     deleted and a stretched top gap.
@@ -127,35 +136,23 @@ def near_arithmetic_corpus(
         raise ValueError("target_count must be at least 1")
     if m < 5 or cmax < m + 2:
         raise ValueError("need m >= 5 and cmax >= m + 2")
-    if max_attempts is None:
-        max_attempts = 4_000 * target_count
     rng = Random(seed)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[CoinSystem, Verdict]] = []
     run_hi = min(cmax - 2, 4 * m)
-    for _ in range(max_attempts):
+
+    def draw() -> Optional[tuple[int, ...]]:
         run_end = rng.randint(m - 1, run_hi)
         holes = run_end - m + 1  # run length minus kept coins, top added back
         if holes > max(0, run_end - 4):
-            continue
+            return None
         removed = set(rng.sample(range(3, run_end), holes)) if holes else set()
         top = run_end + rng.randint(2, max(3, run_end // 2))
         if top > cmax:
-            continue
-        denoms = tuple(v for v in range(1, run_end + 1) if v not in removed) + (top,)
-        if denoms in seen:
-            continue
-        seen.add(denoms)
-        hit, _, _ = _scan(denoms, 1, denoms[-1], budget)
-        if hit is not None:
-            continue
-        system = CoinSystem(denoms)
-        out.append((system, is_canonical_oracle(system, budget)))
-        if len(out) == target_count:
-            return out
-    raise BudgetExhausted(
-        f"found {len(out)} tight near-arithmetic systems of {target_count} wanted "
-        f"within {max_attempts} attempts (m={m}, cmax={cmax})"
+            return None
+        return tuple(v for v in range(1, run_end + 1) if v not in removed) + (top,)
+
+    draws = (draw() for _ in range(4_000 * target_count))
+    return _first_tight(
+        draws, target_count, None, "tight near-arithmetic systems", f"m={m}, cmax={cmax}"
     )
 
 

@@ -47,7 +47,7 @@ def _na(detail: str) -> PredicateResult:
     return PredicateResult(Outcome.NOT_APPLICABLE, detail)
 
 
-def _verdict(ok: bool, detail: str = "") -> PredicateResult:
+def _verdict(ok: bool, detail: str) -> PredicateResult:
     return PredicateResult(Outcome.HOLDS if ok else Outcome.FAILS, detail)
 
 
@@ -111,8 +111,7 @@ class _Scans:
         px, _, _ = _scan(p, 1, p[-2] + p[-1], self.budget)
         if px is None:
             return "prefix without the top coin is canonical"
-        if px < p[-1]:
-            return "prefix without the top coin is not tight"
+        # The prefix is tight: below c_m it sizes amounts as the tight full system does.
         return None
 
     @_once
@@ -134,13 +133,6 @@ def _has_disjoint_optimal(denoms: tuple[int, ...], x: int, sizes: list[int]) -> 
 
 
 def _disjoint_support(s: _Scans) -> PredicateResult:
-    x, sizes = s.smallest
-    if x is None:
-        return _na("canonical")
-    return _verdict(_has_disjoint_optimal(s.denoms, x, sizes), f"x={x}")
-
-
-def disjoint_support(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
     """At the smallest counterexample x, every optimal representation avoids
     the denominations greedy uses (so, in particular, some optimal one does).
 
@@ -150,14 +142,20 @@ def disjoint_support(system: CoinSystem, budget: Optional[int] = None) -> Predic
     opt(x - c) <= |O| - 1 < |greedy(x)| - 1 = |greedy(x - c)|, a smaller
     counterexample.
     """
-    return _disjoint_support(_Scans(system, budget))
-
-
-# The universal form is the theorem checked above; one implementation serves both.
-disjoint_support_universal = disjoint_support
+    x, sizes = s.smallest
+    if x is None:
+        return _na("canonical")
+    return _verdict(_has_disjoint_optimal(s.denoms, x, sizes), f"x={x}")
 
 
 def _window_bound(s: _Scans) -> PredicateResult:
+    """The smallest counterexample lies strictly between ``c3 + 1`` and
+    ``c_{m-1} + c_m``.
+
+    Checked against an unrestricted scan from 1 up to twice the largest
+    denomination, so an off-by-one at either end of the window would show up
+    as a failure rather than being masked by a window-restricted scan.
+    """
     d = s.denoms
     if len(d) < 3:
         return _na("needs at least three denominations")
@@ -169,18 +167,9 @@ def _window_bound(s: _Scans) -> PredicateResult:
     return _verdict(lo < x < hi, f"smallest counterexample {x}, window ({lo}, {hi})")
 
 
-def window_bound(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-    """The smallest counterexample lies strictly between ``c3 + 1`` and
-    ``c_{m-1} + c_m``.
-
-    Checked against an unrestricted scan from 1 up to twice the largest
-    denomination, so an off-by-one at either end of the window would show up
-    as a failure rather than being masked by a window-restricted scan.
-    """
-    return _window_bound(_Scans(system, budget))
-
-
 def _propagation_bound(s: _Scans) -> PredicateResult:
+    """A non-canonical three-coin prefix forces a counterexample of the full
+    system below ``c_m + c3``."""
     d = s.denoms
     if len(d) < 4:
         return _na("needs at least four denominations")
@@ -190,12 +179,6 @@ def _propagation_bound(s: _Scans) -> PredicateResult:
     x, _ = s.smallest
     ok = x is not None and x < bound
     return _verdict(ok, f"bound {bound}" + (f", witness {x}" if ok else ""))
-
-
-def propagation_bound(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-    """A non-canonical three-coin prefix forces a counterexample of the full
-    system below ``c_m + c3``."""
-    return _propagation_bound(_Scans(system, budget))
 
 
 def _pair_cex_exists(
@@ -216,6 +199,8 @@ def _pair_cex_exists(
 
 
 def _pair_witness(s: _Scans) -> PredicateResult:
+    """Under the sandwich hypotheses, some counterexample is a sum of two
+    non-unit denominations below the top coin, exceeding the top coin."""
     if s.sandwich_unmet is not None:
         return _na(s.sandwich_unmet)
     d = s.denoms
@@ -227,13 +212,9 @@ def _pair_witness(s: _Scans) -> PredicateResult:
     )
 
 
-def pair_witness(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-    """Under the sandwich hypotheses, some counterexample is a sum of two
-    non-unit denominations below the top coin, exceeding the top coin."""
-    return _pair_witness(_Scans(system, budget))
-
-
 def _final_gap_is_max(s: _Scans) -> PredicateResult:
+    """Under the sandwich hypotheses, if no sum ``c_m + c_i`` above the top
+    coin is a counterexample, the top gap is the largest gap."""
     if s.sandwich_unmet is not None:
         return _na(s.sandwich_unmet)
     blocked = _pair_cex_exists(s.denoms, (s.denoms[-2],), *s.arrays)
@@ -243,13 +224,10 @@ def _final_gap_is_max(s: _Scans) -> PredicateResult:
     return _verdict(gs[-1] == max(gs), f"gaps {gs}")
 
 
-def final_gap_is_max(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-    """Under the sandwich hypotheses, if no sum ``c_m + c_i`` above the top
-    coin is a counterexample, the top gap is the largest gap."""
-    return _final_gap_is_max(_Scans(system, budget))
-
-
 def _smallest_is_pair_sum(s: _Scans) -> PredicateResult:
+    """Under the sandwich hypotheses, if no sum involving either of the two
+    largest non-top denominations exceeds the top coin as a counterexample,
+    the smallest counterexample is itself a sum of two denominations."""
     if s.sandwich_unmet is not None:
         return _na(s.sandwich_unmet)
     d = s.denoms
@@ -261,23 +239,7 @@ def _smallest_is_pair_sum(s: _Scans) -> PredicateResult:
     return _verdict(_is_pair_sum(d, x), f"smallest counterexample {x}")
 
 
-def smallest_is_pair_sum(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-    """Under the sandwich hypotheses, if no sum involving either of the two
-    largest non-top denominations exceeds the top coin as a counterexample,
-    the smallest counterexample is itself a sum of two denominations."""
-    return _smallest_is_pair_sum(_Scans(system, budget))
-
-
-PREDICATES = {
-    "thm1": disjoint_support,
-    "thm3": window_bound,
-    "thm8": propagation_bound,
-    "thm11": pair_witness,
-    "lem12": final_gap_is_max,
-    "lem13": smallest_is_pair_sum,
-}
-
-# The same rules over a caller-held record, so one system's scans serve all.
+# Each rule reads one caller-held scan record, so one system's scans serve all.
 _RULES: dict[str, Callable[[_Scans], PredicateResult]] = {
     "thm1": _disjoint_support,
     "thm3": _window_bound,
@@ -286,3 +248,25 @@ _RULES: dict[str, Callable[[_Scans], PredicateResult]] = {
     "lem12": _final_gap_is_max,
     "lem13": _smallest_is_pair_sum,
 }
+
+
+def _standalone(rule: Callable[[_Scans], PredicateResult]) -> Callable[..., PredicateResult]:
+    """``rule`` as a predicate of one system, over a scan record of its own."""
+
+    def predicate(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
+        return rule(_Scans(system, budget))
+
+    predicate.__name__ = predicate.__qualname__ = rule.__name__.lstrip("_")
+    predicate.__doc__ = rule.__doc__
+    return predicate
+
+
+PREDICATES = {name: _standalone(rule) for name, rule in _RULES.items()}
+disjoint_support = PREDICATES["thm1"]
+# The universal form is the theorem checked above; one implementation serves both.
+disjoint_support_universal = disjoint_support
+window_bound = PREDICATES["thm3"]
+propagation_bound = PREDICATES["thm8"]
+pair_witness = PREDICATES["thm11"]
+final_gap_is_max = PREDICATES["lem12"]
+smallest_is_pair_sum = PREDICATES["lem13"]

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from coincanon import greedy, new_coin_system, optimal
+from coincanon import greedy, is_tight, new_coin_system, optimal
 from coincanon.cli import parse_coins, run
+from coincanon.fastcheck import METHODS, TIGHT_METHODS
 
 
 def out_lines(capsys):
@@ -66,9 +67,15 @@ def test_check_methods_agree(capsys):
         ("1,5,10,25", 0),
         ("1,2,5,6,10", 0),
         ("1,2,5,6,11", 1),
-        ("1,2,3,4,5,6,7", 0),
+        ("1,2,3,4,5,6,7", 0),  # the tight methods run on these last two
+        ("1,2,4,6,8,9", 1),
     ]:
-        for method in ("auto", "oracle", "pearson"):
+        system = parse_coins(coins)
+        for method in METHODS:
+            if method in TIGHT_METHODS:
+                if system.m < 6:
+                    continue
+                assert is_tight(system)[0], coins
             assert run(["check", coins, "--method", method]) == expected, (coins, method)
     capsys.readouterr()
 
@@ -247,14 +254,14 @@ def test_verify_flow(tmp_path, capsys):
 
 
 def test_bench_csv(capsys):
-    assert run(["bench", "--methods", "pearson,oracle", "--sizes", "8,16",
+    assert run(["bench", "--methods", "auto,oracle", "--sizes", "8,16",
                 "--trials", "2"]) == 0
     lines = out_lines(capsys)
     assert lines[0] == "method,m,c_max,trial,elapsed_ns,verdict"
     assert len(lines) == 1 + 2 * 2 * 2
     for line in lines[1:]:
         method, m, c_max, trial, elapsed, verdict = line.split(",")
-        assert method in ("pearson", "oracle")
+        assert method in ("auto", "oracle")
         assert verdict == "canonical"
         assert int(elapsed) > 0
         assert m == c_max  # step-1 arithmetic family
@@ -263,6 +270,7 @@ def test_bench_csv(capsys):
 def test_bench_rejects_bad_method(capsys):
     assert run(["bench", "--methods", "warp", "--sizes", "8"]) == 2
     assert run(["bench", "--methods", "tight-extended", "--sizes", "4,8"]) == 2
+    assert run(["bench", "--methods", "oracle", "--sizes", "8", "--dp-budget", "5"]) == 2
     capsys.readouterr()
 
 

@@ -5,7 +5,8 @@
 The first line is the number of lines in ``src/coincanon/*.py``. The second
 is the number of settable values: every parameter with a default, in every
 function and method under ``src/coincanon``, plus every ``add_argument`` call
-in ``cli.py``. Only the standard library's ``ast`` module is used, so the
+in ``cli.py``. Then comes one ``<module> <lines>`` line per file, so a change
+that moves code between modules shows where the lines went. Only the standard library's ``ast`` module is used, so the
 figures do not depend on importing the package.
 """
 
@@ -37,16 +38,19 @@ def add_argument_calls(tree: ast.AST) -> int:
 
 
 def main() -> None:
-    lines = settable = 0
+    per_module: dict[str, int] = {}
+    settable = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
+        per_module[path.stem] = len(text.splitlines())
         tree = ast.parse(text, filename=str(path))
         settable += defaulted_parameters(tree)
         if path.name == "cli.py":
             settable += add_argument_calls(tree)
-    print(lines)
+    print(sum(per_module.values()))
     print(settable)
+    for module, lines in per_module.items():
+        print(module, lines)
 
 
 if __name__ == "__main__":
