@@ -39,9 +39,8 @@ class ThreeCoinAnalysis:
 def kz3_analysis(system: CoinSystem) -> ThreeCoinAnalysis:
     if system.m != 3:
         raise WrongArity(f"three-coin analysis needs exactly 3 denominations, got {system.m}")
-    _, c2, c3 = system.denoms
-    q, r = divmod(c3, c2)
-    return ThreeCoinAnalysis(q, r, 0 < r < c2 - q)
+    q, r = divmod(system.denoms[2], system.denoms[1])
+    return ThreeCoinAnalysis(q, r, _kz3_non_canonical(system.denoms))
 
 
 def _kz3_non_canonical(denoms: tuple[int, ...]) -> bool:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import BudgetExhausted, CoinSystem, Counterexample, LimitExceeded, Verdict
 from .bench import scaling_run
@@ -56,20 +56,27 @@ def _witness_text(witness: Counterexample) -> str:
     )
 
 
-def _emit_verdict(args, system: CoinSystem, verdict: Verdict, method: str,
-                  elapsed_ns: int, noun: str = "counterexample") -> int:
+def _emit(args, system: CoinSystem, method: str, decide: Callable[[], Verdict],
+          words: tuple[str, str], negative: str) -> int:
+    """Time ``decide()`` and print its verdict: ``words`` name the positive
+    and the negative verdict, and ``negative`` is the text line of a witness,
+    with ``{}`` where the witness goes."""
+    t0 = time.perf_counter_ns()
+    verdict = decide()
+    elapsed = time.perf_counter_ns() - t0
+    word = words[0] if verdict.canonical else words[1]
     if args.json:
         print(json.dumps({
             "system": list(system.denoms),
-            "verdict": "canonical" if verdict.canonical else "non-canonical",
+            "verdict": word,
             "witness": _witness_json(verdict.witness),
             "method": method,
-            "elapsed_ns": elapsed_ns,
+            "elapsed_ns": elapsed,
         }))
     elif verdict.canonical:
-        print("canonical")
+        print(word)
     else:
-        print(f"non-canonical; {noun} {_witness_text(verdict.witness)}")
+        print(negative.format(_witness_text(verdict.witness)))
     return EXIT_OK if verdict.canonical else EXIT_NEGATIVE
 
 
@@ -91,39 +98,22 @@ def _cmd_check(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-    t0 = time.perf_counter_ns()
-    verdict = METHODS[method](system, budget)
-    elapsed = time.perf_counter_ns() - t0
-    return _emit_verdict(args, system, verdict, method, elapsed)
+    return _emit(args, system, method, lambda: METHODS[method](system, budget),
+                 ("canonical", "non-canonical"), "non-canonical; counterexample {}")
 
 
 def _cmd_witness(args) -> int:
     system = parse_coins(args.coins)
-    t0 = time.perf_counter_ns()
-    witness = smallest_counterexample(system, args.dp_budget)
-    elapsed = time.perf_counter_ns() - t0
-    return _emit_verdict(args, system, Verdict(witness), "oracle", elapsed,
-                         noun="smallest counterexample")
+    return _emit(args, system, "oracle",
+                 lambda: Verdict(smallest_counterexample(system, args.dp_budget)),
+                 ("canonical", "non-canonical"), "non-canonical; smallest counterexample {}")
 
 
 def _cmd_tight(args) -> int:
     system = parse_coins(args.coins)
-    t0 = time.perf_counter_ns()
-    tight, cex = is_tight(system, args.dp_budget)
-    elapsed = time.perf_counter_ns() - t0
-    if args.json:
-        print(json.dumps({
-            "system": list(system.denoms),
-            "verdict": "tight" if tight else "not-tight",
-            "witness": _witness_json(cex),
-            "method": "oracle",
-            "elapsed_ns": elapsed,
-        }))
-    elif tight:
-        print("tight")
-    else:
-        print(f"not tight; counterexample {_witness_text(cex)} (below {system.largest})")
-    return EXIT_OK if tight else EXIT_NEGATIVE
+    return _emit(args, system, "oracle", lambda: Verdict(is_tight(system, args.dp_budget)[1]),
+                 ("tight", "not-tight"),
+                 f"not tight; counterexample {{}} (below {system.largest})")
 
 
 def _corpus_out(args, lines) -> int:
@@ -169,17 +159,18 @@ def _cmd_verify(args) -> int:
         with open(args.corpus) as fh:
             systems = [s for s, _ in read_corpus(fh)]
     report = predicate_sweep(systems, names, budget=args.dp_budget)
+    counts = {
+        name: {
+            "holds": report.holds.get(name, 0),
+            "fails": report.fails.get(name, 0),
+            "not_applicable": report.not_applicable.get(name, 0),
+        }
+        for name in names
+    }
     if args.json:
         print(json.dumps({
             "total": report.total,
-            "predicates": {
-                name: {
-                    "holds": report.holds.get(name, 0),
-                    "fails": report.fails.get(name, 0),
-                    "not_applicable": report.not_applicable.get(name, 0),
-                }
-                for name in names
-            },
+            "predicates": counts,
             "failures": [
                 {"system": list(s.denoms), "predicate": n, "detail": d}
                 for s, n, d in report.failures
@@ -187,12 +178,8 @@ def _cmd_verify(args) -> int:
         }))
     else:
         print(f"systems: {report.total}")
-        for name in names:
-            print(
-                f"{name}: holds={report.holds.get(name, 0)} "
-                f"fails={report.fails.get(name, 0)} "
-                f"not-applicable={report.not_applicable.get(name, 0)}"
-            )
+        for name, tally in counts.items():
+            print(f"{name}: " + " ".join(f"{k.replace('_', '-')}={v}" for k, v in tally.items()))
         for system, name, detail in report.failures:
             print(f"FAIL {name} on {system}: {detail}")
     return EXIT_OK if report.clean else EXIT_NEGATIVE
@@ -211,7 +198,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _budget(text: str) -> int:
+def _positive(text: str) -> int:
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
@@ -251,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=1, help="arithmetic step")
     p.add_argument("--ratio", type=int, default=2, help="geometric ratio")
     p.add_argument("--cmax", type=int, default=100, help="largest allowed denomination")
-    p.add_argument("--count", type=int, default=1, help="number of random systems")
+    p.add_argument("--count", type=_positive, default=1, help="number of random systems")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tight", action="store_true",
                    help="keep only tight systems (annotated for --random)")
@@ -274,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():
         p.add_argument("--json", action="store_true", help="emit a JSON object")
         if name != "bench":  # bench times fixed inputs at the default budget
-            p.add_argument("--dp-budget", type=_budget, default=None, metavar="N",
+            p.add_argument("--dp-budget", type=_positive, default=None, metavar="N",
                            help="cap on table entries for scans (default 2**28)")
     return parser
 

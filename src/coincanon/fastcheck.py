@@ -17,6 +17,7 @@ from typing import Callable, Literal, Optional
 from .core import (
     CoinSystem,
     Counterexample,
+    Representation,
     Verdict,
     WrongArity,
 )
@@ -29,7 +30,7 @@ from .characterize import (
     propagation_witness,
 )
 from .oracle import counterexample_at, is_canonical_oracle
-from .solvers import _greedy_counts, _greedy_size
+from .solvers import _greedy_counts, _greedy_size, greedy
 
 
 def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
@@ -120,9 +121,16 @@ def _tight_check(
             if (best is None or s < best) and s - top not in coins:
                 best = s
     if best is not None:
-        witness = counterexample_at(system, best, budget)
-        if witness is None:  # pragma: no cover - flagged sums always are counterexamples
-            raise AssertionError(f"flagged pair sum {best} is not a counterexample")
+        # Closed form, tight or not: best exceeds the top coin, so it is no
+        # coin, and it is a sum of two coins, so two coins are optimal.
+        # optimal() backtracks larger coin first: the largest coin a with
+        # best - a a coin, then best - a. That a is never the top coin, since
+        # best - top is no coin (which is why best was flagged).
+        a = next(c for c in reversed(d[:-1]) if best - c in coins)
+        counts = [0] * n
+        counts[d.index(a)] += 1
+        counts[d.index(best - a)] += 1
+        witness = Counterexample(best, greedy(system, best), Representation(tuple(counts), best, 2))
         return TightCheckReport(Verdict(witness), variant, pairs, False)
 
     # A tight system's prefix need not be canonical, so the witness at the

@@ -2,10 +2,9 @@
 
 Everything here is an exhaustive greedy-vs-dynamic-programming comparison
 over a finite, provably sufficient range of amounts: the smallest
-counterexample of a non-canonical system always lies strictly between
-``c3 + 1`` and ``c_{m-1} + c_m`` (the classical Kozen-Zaks window), so a scan
-of that window decides canonicity outright. Every fast checker in this
-package is tested against this module.
+counterexample of a non-canonical system always lies in the classical
+Kozen-Zaks window (``_window``), so a scan of that window decides canonicity
+outright. Every fast checker in this package is tested against this module.
 """
 
 from __future__ import annotations
@@ -27,6 +26,15 @@ def _guard(stop: int, budget: Optional[int]) -> None:
     cap = DEFAULT_DP_BUDGET if budget is None else budget
     if stop > cap:
         raise LimitExceeded(f"scan over {stop} amounts exceeds the budget of {cap}")
+
+
+def _window(denoms: tuple[int, ...]) -> tuple[int, int]:
+    """The half-open range ``[c3 + 2, c_{m-1} + c_m)`` of amounts that holds
+    the smallest counterexample of any non-canonical system (Kozen & Zaks),
+    and the empty ``(0, 0)`` below three coins, where there is none."""
+    if len(denoms) < 3:
+        return 0, 0
+    return denoms[2] + 2, denoms[-2] + denoms[-1]
 
 
 def _scan(
@@ -108,18 +116,9 @@ def first_counterexample_in(
 def smallest_counterexample(
     system: CoinSystem, budget: Optional[int] = None
 ) -> Optional[Counterexample]:
-    """Smallest counterexample of the system, or None when canonical.
-
-    Systems with one or two denominations never have one. For larger systems
-    only the window (c3 + 1, c_{m-1} + c_m), both endpoints excluded, needs
-    scanning: the smallest counterexample of any non-canonical system lies
-    strictly inside it.
-    """
-    d = system.denoms
-    if len(d) < 3:
-        return None
-    lo = d[2] + 2
-    hi = d[-2] + d[-1]
+    """Smallest counterexample of the system, or None when canonical, by a
+    scan of the window ``_window`` (empty for one or two denominations)."""
+    lo, hi = _window(system.denoms)
     return first_counterexample_in(system, lo, hi, budget)
 
 

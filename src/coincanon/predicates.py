@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .core import CoinSystem
 from .characterize import _kz3_non_canonical
 from .fastcheck import _is_pair_sum
-from .oracle import _scan
+from .oracle import _scan, _window
 from .solvers import _greedy_counts
 
 
@@ -80,11 +80,8 @@ class _Scans:
     def smallest(self) -> tuple[Optional[int], list[int]]:
         """Smallest counterexample (None when canonical) and the optimal
         sizes up to it, by an unrestricted scan from 1 to twice the top coin,
-        so ``window_bound`` checks the window result instead of assuming it.
-        One or two coins are always canonical."""
+        so ``window_bound`` checks the window result instead of assuming it."""
         d = self.denoms
-        if len(d) < 3:
-            return None, [0]
         hit, _, opt = _scan(d, 1, 2 * d[-1], self.budget)
         return hit, opt
 
@@ -108,8 +105,7 @@ class _Scans:
         if x < d[-1]:
             return "full system not tight"
         p = d[:-1]
-        px, _, _ = _scan(p, 1, p[-2] + p[-1], self.budget)
-        if px is None:
+        if _scan(p, *_window(p), self.budget)[0] is None:
             return "prefix without the top coin is canonical"
         # The prefix is tight: below c_m it sizes amounts as the tight full system does.
         return None
@@ -150,21 +146,19 @@ def _disjoint_support(s: _Scans) -> PredicateResult:
 
 def _window_bound(s: _Scans) -> PredicateResult:
     """The smallest counterexample lies strictly between ``c3 + 1`` and
-    ``c_{m-1} + c_m``.
+    ``c_{m-1} + c_m``, in the window the oracle scans.
 
     Checked against an unrestricted scan from 1 up to twice the largest
     denomination, so an off-by-one at either end of the window would show up
     as a failure rather than being masked by a window-restricted scan.
     """
-    d = s.denoms
-    if len(d) < 3:
+    if len(s.denoms) < 3:
         return _na("needs at least three denominations")
     x, _ = s.smallest
     if x is None:
         return _na("canonical")
-    lo = d[2] + 1
-    hi = d[-2] + d[-1]
-    return _verdict(lo < x < hi, f"smallest counterexample {x}, window ({lo}, {hi})")
+    lo, hi = _window(s.denoms)
+    return _verdict(lo <= x < hi, f"smallest counterexample {x}, window ({lo - 1}, {hi})")
 
 
 def _propagation_bound(s: _Scans) -> PredicateResult:

@@ -18,7 +18,7 @@ from itertools import count
 from typing import Callable, Iterable, Optional
 
 from .core import CoinSystem, Verdict
-from .oracle import _scan
+from .oracle import _scan, _window
 from .predicates import _RULES, PREDICATES, Outcome, PredicateResult, _Scans
 
 PREDICATE_NAMES = tuple(PREDICATES)
@@ -61,7 +61,7 @@ def _compare(
     report = EquivalenceReport(method)
     for system in systems:
         d = system.denoms
-        oracle_x = None if len(d) < 3 else _scan(d, d[2] + 2, d[-2] + d[-1], None)[0]
+        oracle_x = _scan(d, *_window(d), None)[0]
         x = found(system)
         report.total += 1
         if oracle_x is None:

@@ -165,14 +165,20 @@ def test_three_coin_witness_above_the_dp_budget(capsys):
     assert witness["greedy_counts"] == [2_000_000_000, 0, 1]
 
 
-@pytest.mark.parametrize("coins,x,optimal_counts", [
+_PAIR = ("1,2,3,4,3000000000,4000000000", 6_000_000_000, [0, 0, 0, 0, 2, 0])
+
+
+@pytest.mark.parametrize("coins,x,optimal_counts,args", [
     # one-point witness: k+1 copies of the prefix's top coin, built without a DP
-    ("1,2,300000001,400000000", 600_000_002, [0, 0, 2, 0]),
+    ("1,2,300000001,400000000", 600_000_002, [0, 0, 2, 0], []),
     # check_five's fallback scans only up to the four-coin prefix's witness
-    ("1,2,4,5,300000000", 8, [0, 0, 2, 0, 0]),
+    ("1,2,4,5,300000000", 8, [0, 0, 2, 0, 0], []),
+    # the tight check's pair-sum witness is closed form
+    (*_PAIR, ["--method", "tight-verbatim", "--skip-tight-check"]),
+    (*_PAIR, ["--method", "tight-extended", "--skip-tight-check"]),
 ])
-def test_witness_without_a_table_above_the_dp_budget(capsys, coins, x, optimal_counts):
-    assert run(["check", coins, "--json"]) == 1
+def test_witness_without_a_table_above_the_dp_budget(capsys, coins, x, optimal_counts, args):
+    assert run(["check", coins, "--json", *args]) == 1
     witness = json.loads(capsys.readouterr().out)["witness"]
     assert witness["x"] == x
     assert witness["optimal_counts"] == optimal_counts
@@ -211,6 +217,11 @@ def test_gen_random_deterministic(capsys):
                 "--seed", "9"]) == 0
     assert out_lines(capsys) == first
     assert len(first) == 5
+    for count in ("0", "-1"):
+        for tight in ([], ["--tight"]):
+            assert run(["gen", "--random", "--m", "5", "--cmax", "40", "--count", count,
+                        *tight]) == 2
+    capsys.readouterr()
 
 
 def test_gen_tight_corpus_annotations(capsys):

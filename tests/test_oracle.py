@@ -55,6 +55,9 @@ def test_is_canonical_examples():
 
 def test_small_systems_always_canonical():
     assert smallest_counterexample(new_coin_system([1])) is None
+    # The window below three coins is empty, so no budget applies.
+    assert smallest_counterexample(new_coin_system([1]), budget=0) is None
+    assert smallest_counterexample(new_coin_system([1, 2]), budget=0) is None
     for c2 in range(2, 40):
         assert smallest_counterexample(new_coin_system([1, c2])) is None
 
