@@ -173,8 +173,6 @@ def is_canonical_tight_extended(
 
 
 def _auto_check(system: CoinSystem, budget: Optional[int]) -> Verdict:
-    if system.m <= 2:
-        return Verdict()
     if system.m == 3:
         return check_three(system)
     if system.m == 4:
@@ -185,7 +183,8 @@ def _auto_check(system: CoinSystem, budget: Optional[int]) -> Verdict:
 
 
 # Every decider by its ``check --method`` name, as ``(system, budget) -> Verdict``.
-# ``auto`` takes the arity-specific check up to five coins, then Pearson's scan.
+# ``auto`` takes the arity-specific check for three to five coins, and Pearson's
+# scan otherwise (no candidate fires below three coins).
 METHODS: dict[str, Callable[[CoinSystem, Optional[int]], Verdict]] = {
     "auto": _auto_check,
     "oracle": is_canonical_oracle,

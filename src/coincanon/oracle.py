@@ -5,10 +5,13 @@ over a finite, provably sufficient range of amounts: the smallest
 counterexample of a non-canonical system always lies in the classical
 Kozen-Zaks window (``_window``), so a scan of that window decides canonicity
 outright. Every fast checker in this package is tested against this module.
+The sweeps scan through ``_PrefixCache``, which reuses one system's scan for
+the next system with the same leading coins.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .core import (
@@ -37,6 +40,55 @@ def _window(denoms: tuple[int, ...]) -> tuple[int, int]:
     return denoms[2] + 2, denoms[-2] + denoms[-1]
 
 
+def _extend(
+    denoms: tuple[int, ...],
+    grd: list[int],
+    opt: list[int],
+    hits: list[int],
+    start: int,
+    stop: int,
+    stop_at_hit: bool,
+) -> None:
+    """Append the greedy and optimal sizes of the amounts ``len(grd)`` to
+    ``stop - 1`` to ``grd`` and ``opt``, and every amount among them whose
+    greedy size exceeds its optimal size to ``hits``; with ``stop_at_hit``,
+    end at the first such amount at or above ``start``. The lists must
+    already hold the sizes of every amount below their length.
+    """
+    m = len(denoms)
+    x0 = len(grd)
+    # Denominations <= x, maintained incrementally while x ascends from x0.
+    next_i = max(bisect_right(denoms, x0 - 1), 1)
+    cur = denoms[next_i - 1]  # largest denomination <= x
+    others = denoms[1:next_i]  # non-unit denominations <= x
+    nxt = denoms[next_i] if next_i < m else 0
+    for x in range(x0, stop):
+        if x == nxt:
+            cur = x
+            others = denoms[1:next_i + 1]
+            next_i += 1
+            nxt = denoms[next_i] if next_i < m else 0
+        g = grd[x - cur] + 1
+        grd.append(g)
+        best = opt[x - 1]
+        for c in others:
+            v = opt[x - c]
+            if v < best:
+                best = v
+        best += 1
+        opt.append(best)
+        if g > best:
+            hits.append(x)
+            if stop_at_hit and x >= start:
+                return
+
+
+def _first(hits: list[int], start: int, stop: int) -> Optional[int]:
+    """The first of the ascending amounts ``hits`` in [start, stop), or None."""
+    i = bisect_left(hits, start)
+    return hits[i] if i < len(hits) and hits[i] < stop else None
+
+
 def _scan(
     denoms: tuple[int, ...],
     start: int,
@@ -54,37 +106,61 @@ def _scan(
     at a time, so an early hit never pays for the rest of the window.
     """
     _guard(stop, budget)
-    if stop <= 1:
-        return None, [0], [0]
-    opt = [0]
-    grd = [0]
-    m = len(denoms)
-    hit = None
-    # Denominations <= x, maintained incrementally while x ascends.
-    cur = 1  # largest denomination <= x
-    others: tuple[int, ...] = ()  # non-unit denominations <= x
-    next_i = 1
-    nxt = denoms[1] if m > 1 else 0
-    for x in range(1, stop):
-        if x == nxt:
-            cur = x
-            others = denoms[1:next_i + 1]
-            next_i += 1
-            nxt = denoms[next_i] if next_i < m else 0
-        g = grd[x - cur] + 1
-        grd.append(g)
-        best = opt[x - 1]
-        for c in others:
-            v = opt[x - c]
-            if v < best:
-                best = v
-        best += 1
-        opt.append(best)
-        if g > best and x >= start and hit is None:
-            hit = x
-            if stop_at_hit:
-                return hit, grd, opt
-    return hit, grd, opt
+    grd, opt, hits = [0], [0], []
+    _extend(denoms, grd, opt, hits, start, stop, stop_at_hit)
+    return _first(hits, start, stop), grd, opt
+
+
+class _PrefixCache:
+    """``_scan`` for a stream of systems, reusing the size lists of the
+    system scanned before.
+
+    Below the first coin where two systems differ, both have the same coins,
+    so the greedy and optimal sizes of those amounts are the same too (Kozen
+    & Zaks). The cache keeps the last system's lists, and the amounts in them
+    that are counterexamples, up to that coin, and extends them only from
+    there. A stored counterexample in the scanned range answers the scan with
+    no extension. Results never depend on the order of the stream; systems in
+    lexicographic order, as ``enumerate_all`` yields them, share the longest
+    prefixes.
+
+    ``scan`` returns the cache's own lists. They agree with ``_scan``'s on
+    every amount ``_scan`` covers, may run further, and change at the next
+    scan of another system.
+    """
+
+    __slots__ = ("denoms", "grd", "opt", "hits")
+
+    def __init__(self) -> None:
+        self.denoms: tuple[int, ...] = (1,)
+        self.grd = [0]
+        self.opt = [0]
+        self.hits: list[int] = []  # every counterexample below len(grd)
+
+    def scan(
+        self,
+        denoms: tuple[int, ...],
+        start: int,
+        stop: int,
+        budget: Optional[int],
+        stop_at_hit: bool,
+    ) -> tuple[Optional[int], list[int], list[int]]:
+        _guard(stop, budget)
+        grd, opt, hits = self.grd, self.opt, self.hits
+        old = self.denoms
+        if denoms != old:
+            k = 0
+            for a, b in zip(old, denoms):
+                if a != b:
+                    break
+                k += 1
+            keep = min(old[k:k + 1] + denoms[k:k + 1])  # the first coin they differ by
+            if len(grd) > keep:
+                del grd[keep:], opt[keep:], hits[bisect_left(hits, keep):]
+            self.denoms = denoms
+        if len(grd) < stop and (not stop_at_hit or _first(hits, start, stop) is None):
+            _extend(denoms, grd, opt, hits, start, stop, stop_at_hit)
+        return _first(hits, start, stop), grd, opt
 
 
 def counterexample_at(

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .core import CoinSystem
 from .characterize import _kz3_non_canonical
 from .fastcheck import _is_pair_sum
-from .oracle import _scan, _window
+from .oracle import _PrefixCache, _window
 from .solvers import _greedy_counts
 
 
@@ -51,6 +51,13 @@ def _verdict(ok: bool, detail: str) -> PredicateResult:
     return PredicateResult(Outcome.HOLDS if ok else Outcome.FAILS, detail)
 
 
+# The rules' fixed not-applicable results, built once: results are frozen.
+_NA_CANONICAL = _na("canonical")
+_NA_UNDER_THREE = _na("needs at least three denominations")
+_NA_UNDER_FOUR = _na("needs at least four denominations")
+_NA_PREFIX3_CANONICAL = _na("three-coin prefix canonical")
+
+
 class _once:
     """An attribute computed at its first read and then stored on the
     instance. ``functools.cached_property`` takes a lock on every first read
@@ -69,12 +76,22 @@ class _once:
 
 
 class _Scans:
-    """The scans the predicates read for one system, each run at most once."""
+    """The scans the predicates read for one system, each run at most once.
 
-    def __init__(self, system: CoinSystem, budget: Optional[int]) -> None:
+    The system's own scans go through ``full`` and the sandwich gate's scan
+    of the prefix without the top coin through ``prefix``, so a sweep that
+    passes the same two caches for every system reuses each scan's lists
+    for the next system with the same leading coins.
+    """
+
+    def __init__(
+        self, system: CoinSystem, budget: Optional[int], full: _PrefixCache, prefix: _PrefixCache
+    ) -> None:
         self.system = system
         self.denoms = system.denoms
         self.budget = budget
+        self.full = full
+        self.prefix = prefix
 
     @_once
     def smallest(self) -> tuple[Optional[int], list[int]]:
@@ -82,12 +99,13 @@ class _Scans:
         sizes up to it, by an unrestricted scan from 1 to twice the top coin,
         so ``window_bound`` checks the window result instead of assuming it."""
         d = self.denoms
-        hit, _, opt = _scan(d, 1, 2 * d[-1], self.budget)
+        hit, _, opt = self.full.scan(d, 1, 2 * d[-1], self.budget, True)
         return hit, opt
 
     @_once
-    def sandwich_unmet(self) -> Optional[str]:
-        """Why the sandwich hypotheses fail, or None when they hold.
+    def sandwich_unmet(self) -> Optional[PredicateResult]:
+        """Why the sandwich hypotheses fail, as the not-applicable result
+        thm11, lem12 and lem13 all return, or None when they hold.
 
         They are: canonical three-coin prefix, non-canonical but tight prefix
         of all-but-the-last coin, non-canonical but tight full system. A
@@ -96,17 +114,17 @@ class _Scans:
         """
         d = self.denoms
         if len(d) < 5:
-            return "needs at least five denominations"
+            return _na("needs at least five denominations")
         if _kz3_non_canonical(d):
-            return "three-coin prefix non-canonical"
+            return _na("three-coin prefix non-canonical")
         x, _ = self.smallest
         if x is None:
-            return "full system canonical"
+            return _na("full system canonical")
         if x < d[-1]:
-            return "full system not tight"
+            return _na("full system not tight")
         p = d[:-1]
-        if _scan(p, *_window(p), self.budget)[0] is None:
-            return "prefix without the top coin is canonical"
+        if self.prefix.scan(p, *_window(p), self.budget, True)[0] is None:
+            return _na("prefix without the top coin is canonical")
         # The prefix is tight: below c_m it sizes amounts as the tight full system does.
         return None
 
@@ -115,7 +133,7 @@ class _Scans:
         """Greedy and optimal sizes for every amount up to ``2*c_{m-1}``,
         read by the pair-witness and gap results."""
         d = self.denoms
-        _, grd, opt = _scan(d, 1, 2 * d[-2] + 1, self.budget, stop_at_hit=False)
+        _, grd, opt = self.full.scan(d, 1, 2 * d[-2] + 1, self.budget, False)
         return grd, opt
 
 
@@ -140,7 +158,7 @@ def _disjoint_support(s: _Scans) -> PredicateResult:
     """
     x, sizes = s.smallest
     if x is None:
-        return _na("canonical")
+        return _NA_CANONICAL
     return _verdict(_has_disjoint_optimal(s.denoms, x, sizes), f"x={x}")
 
 
@@ -153,10 +171,10 @@ def _window_bound(s: _Scans) -> PredicateResult:
     as a failure rather than being masked by a window-restricted scan.
     """
     if len(s.denoms) < 3:
-        return _na("needs at least three denominations")
+        return _NA_UNDER_THREE
     x, _ = s.smallest
     if x is None:
-        return _na("canonical")
+        return _NA_CANONICAL
     lo, hi = _window(s.denoms)
     return _verdict(lo <= x < hi, f"smallest counterexample {x}, window ({lo - 1}, {hi})")
 
@@ -166,9 +184,9 @@ def _propagation_bound(s: _Scans) -> PredicateResult:
     system below ``c_m + c3``."""
     d = s.denoms
     if len(d) < 4:
-        return _na("needs at least four denominations")
+        return _NA_UNDER_FOUR
     if not _kz3_non_canonical(d):
-        return _na("three-coin prefix canonical")
+        return _NA_PREFIX3_CANONICAL
     bound = d[-1] + d[2]
     x, _ = s.smallest
     ok = x is not None and x < bound
@@ -196,7 +214,7 @@ def _pair_witness(s: _Scans) -> PredicateResult:
     """Under the sandwich hypotheses, some counterexample is a sum of two
     non-unit denominations below the top coin, exceeding the top coin."""
     if s.sandwich_unmet is not None:
-        return _na(s.sandwich_unmet)
+        return s.sandwich_unmet
     d = s.denoms
     found = _pair_cex_exists(d, tuple(reversed(d[1:-1])), *s.arrays)
     return _verdict(
@@ -210,7 +228,7 @@ def _final_gap_is_max(s: _Scans) -> PredicateResult:
     """Under the sandwich hypotheses, if no sum ``c_m + c_i`` above the top
     coin is a counterexample, the top gap is the largest gap."""
     if s.sandwich_unmet is not None:
-        return _na(s.sandwich_unmet)
+        return s.sandwich_unmet
     blocked = _pair_cex_exists(s.denoms, (s.denoms[-2],), *s.arrays)
     if blocked is not None:
         return _na(f"pair sum {blocked} with the second-largest coin is a counterexample")
@@ -223,7 +241,7 @@ def _smallest_is_pair_sum(s: _Scans) -> PredicateResult:
     largest non-top denominations exceeds the top coin as a counterexample,
     the smallest counterexample is itself a sum of two denominations."""
     if s.sandwich_unmet is not None:
-        return _na(s.sandwich_unmet)
+        return s.sandwich_unmet
     d = s.denoms
     blocked = _pair_cex_exists(d, (d[-2], d[-3]), *s.arrays)
     if blocked is not None:
@@ -248,7 +266,7 @@ def _standalone(rule: Callable[[_Scans], PredicateResult]) -> Callable[..., Pred
     """``rule`` as a predicate of one system, over a scan record of its own."""
 
     def predicate(system: CoinSystem, budget: Optional[int] = None) -> PredicateResult:
-        return rule(_Scans(system, budget))
+        return rule(_Scans(system, budget, _PrefixCache(), _PrefixCache()))
 
     predicate.__name__ = predicate.__qualname__ = rule.__name__.lstrip("_")
     predicate.__doc__ = rule.__doc__

@@ -18,7 +18,7 @@ from itertools import count
 from typing import Callable, Iterable, Optional
 
 from .core import CoinSystem, Verdict
-from .oracle import _scan, _window
+from .oracle import _PrefixCache, _window
 from .predicates import _RULES, PREDICATES, Outcome, PredicateResult, _Scans
 
 PREDICATE_NAMES = tuple(PREDICATES)
@@ -52,16 +52,18 @@ def _compare(
     exact: bool,
 ) -> EquivalenceReport:
     """Run the oracle's window scan on every system and record where
-    ``found`` disagrees with it.
+    ``found`` disagrees with it. The scans share one prefix cache, so each
+    reuses the size lists of the system before it.
 
     ``found(system)`` is the checker's witness amount, or None when the
     checker says canonical. A mismatch is a different verdict, or with
     ``exact`` a different amount.
     """
     report = EquivalenceReport(method)
+    cache = _PrefixCache()
     for system in systems:
         d = system.denoms
-        oracle_x = _scan(d, *_window(d), None)[0]
+        oracle_x = cache.scan(d, *_window(d), None, True)[0]
         x = found(system)
         report.total += 1
         if oracle_x is None:
@@ -113,7 +115,10 @@ def evaluate_predicates(
     budget: Optional[int] = None,
 ) -> dict[str, PredicateResult]:
     """Evaluate the named predicates on one system over one scan record."""
-    scans = _Scans(system, budget)
+    return _evaluate(_Scans(system, budget, _PrefixCache(), _PrefixCache()), names)
+
+
+def _evaluate(scans: _Scans, names: Iterable[str]) -> dict[str, PredicateResult]:
     return {name: _RULES[name](scans) for name in names}
 
 
@@ -160,9 +165,14 @@ def predicate_sweep(
     names: Iterable[str] = PREDICATE_NAMES,
     budget: Optional[int] = None,
 ) -> SweepReport:
-    """Evaluate the named predicates over a corpus and aggregate outcomes."""
+    """Evaluate the named predicates over a corpus and aggregate outcomes.
+
+    Every system's scan record reads the same two prefix caches, so each
+    scan reuses the size lists of the system before it.
+    """
     names = tuple(names)
+    full, prefix = _PrefixCache(), _PrefixCache()
     report = SweepReport()
     for system in systems:
-        report.merge_one(system, evaluate_predicates(system, names, budget))
+        report.merge_one(system, _evaluate(_Scans(system, budget, full, prefix), names))
     return report

@@ -61,6 +61,7 @@ def test_check_divergence_demo(capsys):
 
 def test_check_methods_agree(capsys):
     for coins, expected in [
+        ("1,2", 0),
         ("1,3,4", 1),
         ("1,5,10", 0),
         ("1,7,10,11", 1),

@@ -1,5 +1,5 @@
-"""The exhaustive oracle: worked examples, window soundness, and brute-force
-cross-checks."""
+"""The exhaustive oracle: worked examples, window soundness, brute-force
+cross-checks, and the prefix cache the sweeps scan through."""
 
 import random
 
@@ -17,7 +17,8 @@ from coincanon import (
     optimal_all,
     smallest_counterexample,
 )
-from coincanon.oracle import _scan
+from coincanon.generate import enumerate_all
+from coincanon.oracle import _PrefixCache, _scan, _window
 
 from _brute import min_size_bruteforce, smallest_counterexample_bruteforce
 
@@ -178,6 +179,65 @@ def test_budget_guard():
         smallest_counterexample(s, budget=100)
     with pytest.raises(LimitExceeded):
         _scan(s.denoms, 1, 101, 100)
+
+
+def _scan_kinds(d, rng):
+    """The scans the sweeps make of one system, in a random order, plus one
+    over a random range: (denoms, start, stop, stop_at_hit)."""
+    top = d[-1]
+    kinds = [
+        (d, 1, 2 * top, True),  # from 1, as _Scans.smallest
+        (d, *_window(d), True),  # the oracle's window
+        (d[:-1] or d, *_window(d[:-1] or d), True),  # the sandwich gate's prefix
+        (d, 1, 2 * d[-2] + 1 if len(d) > 1 else 3, False),  # _Scans.arrays
+        (d, rng.randint(0, 2 * top), rng.randint(0, 3 * top), rng.random() < 0.5),
+    ]
+    rng.shuffle(kinds)
+    return kinds[: rng.randint(1, len(kinds))]
+
+
+def _assert_cache_matches_scan(stream, seed):
+    rng = random.Random(seed)
+    cache = _PrefixCache()
+    scans = 0
+    for d in stream:
+        for denoms, start, stop, stop_at_hit in _scan_kinds(d, rng):
+            want = _scan(denoms, start, stop, None, stop_at_hit)
+            hit, grd, opt = cache.scan(denoms, start, stop, None, stop_at_hit)
+            # The cache's lists may run further than _scan's, never shorter.
+            n = len(want[1])
+            assert (hit, grd[:n], opt[:n]) == want, (denoms, start, stop, stop_at_hit)
+            scans += 1
+    return scans
+
+
+def test_prefix_cache_matches_scan_in_any_order():
+    by_m = {m: [s.denoms for s in enumerate_all(m, 8 + m)] for m in range(1, 9)}
+    mixed = [d for ds in by_m.values() for d in ds]
+    random.Random(13).shuffle(mixed)
+    scans = 0
+    for m, ds in by_m.items():
+        scans += _assert_cache_matches_scan(ds, m)  # lexicographic
+        scans += _assert_cache_matches_scan(random.Random(m).sample(ds, len(ds)), m)
+    scans += _assert_cache_matches_scan(mixed, 0)
+    assert scans > 20_000
+
+
+def test_prefix_cache_reuses_the_previous_systems_hit():
+    cache = _PrefixCache()
+    assert cache.scan((1, 3, 4, 20), 1, 40, None, True)[0] == 6
+    # 1,3,4,21 shares every amount below 20, so 6 comes back without a scan,
+    # from the window start on too; a range above it finds the next one.
+    hit, grd, opt = cache.scan((1, 3, 4, 21), 6, 25, None, True)
+    assert hit == 6 and len(grd) == len(opt) == 7
+    assert cache.scan((1, 3, 4, 21), 7, 25, None, True)[0] == 10
+    assert cache.scan((1, 3, 4, 21), 7, 10, None, True)[0] is None
+    # A reused hit still checks the budget first.
+    with pytest.raises(LimitExceeded):
+        cache.scan((1, 3, 4, 21), 1, 101, 100, True)
+    with pytest.raises(LimitExceeded):
+        cache.scan((1, 3, 4, 22), 1, 101, 100, True)
+    assert cache.scan((1, 3, 4, 22), 1, 100, 100, True)[0] == 6
 
 
 def test_greedy_never_below_optimal():

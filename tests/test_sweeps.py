@@ -67,7 +67,10 @@ def test_predicate_sweep_aggregate_counts():
     assert report.not_applicable == {
         "thm1": 55, "thm3": 55, "thm8": 150, "thm11": 286, "lem12": 286, "lem13": 286,
     }
-    report = predicate_sweep(enumerate_all(6, 26))
+    _assert_six_coin_aggregates(predicate_sweep(enumerate_all(6, 26)))
+
+
+def _assert_six_coin_aggregates(report):
     assert report.total == 53_130  # C(25, 5)
     assert report.holds == {"thm1": 52_563, "thm3": 52_563, "thm8": 26_738, "thm11": 10_756}
     assert report.fails == {}
@@ -75,6 +78,17 @@ def test_predicate_sweep_aggregate_counts():
         "thm1": 567, "thm3": 567, "thm8": 26_392,
         "thm11": 42_374, "lem12": 53_130, "lem13": 53_130,
     }
+
+
+def test_sweeps_do_not_depend_on_the_order_of_the_corpus():
+    # The sweeps' prefix caches reuse the previous system's scan; shuffled,
+    # consecutive systems rarely share one, and the counts stay the same.
+    systems = list(enumerate_all(6, 26))
+    random.Random(26).shuffle(systems)
+    _assert_six_coin_aggregates(predicate_sweep(systems))
+    report = pearson_equivalence_sweep(systems)
+    assert report.agree, report.mismatches
+    assert (report.total, report.canonical, report.non_canonical) == (53_130, 567, 52_563)
 
 
 def test_compare_with_oracle_agreement():

@@ -38,6 +38,7 @@ COMMANDS: list[list[str]] = [
       for coins in ("1,2,3,4,5,6,7", "1,2,4,6,8,9", "1,5,10,25,50,100,220")
       for json in ([], ["--json"])),
     ["check", "1"],
+    ["check", "1,2"],
     ["check", "1,3,4"],
     ["check", "1,2,4,5,300000000", "--json"],
     ["check", "1,2,300000001,400000000", "--json"],
