@@ -81,6 +81,8 @@ def _first_tight(
     """The first ``target_count`` distinct tight systems among ``draws``, each
     annotated with its oracle verdict. A None draw is rejected but still
     counts as an attempt; running out of draws raises ``BudgetExhausted``."""
+    if target_count < 1:
+        raise ValueError("target_count must be at least 1")
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[CoinSystem, Verdict]] = []
     attempts = 0
@@ -111,8 +113,6 @@ def tight_corpus(
 ) -> list[tuple[CoinSystem, Verdict]]:
     """Distinct random systems that pass the tightness filter, each annotated
     with its oracle verdict."""
-    if target_count < 1:
-        raise ValueError("target_count must be at least 1")
     if max_attempts is None:
         max_attempts = 2_000 * target_count
     rng = Random(seed)
@@ -132,8 +132,6 @@ def near_arithmetic_corpus(
     and where the gap/pair-sum structure results have non-vacuous hypotheses,
     so sweeps draw these in addition to uniform corpora.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be at least 1")
     if m < 5 or cmax < m + 2:
         raise ValueError("need m >= 5 and cmax >= m + 2")
     rng = Random(seed)

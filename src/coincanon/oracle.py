@@ -19,10 +19,9 @@ from .core import (
     CoinSystem,
     Counterexample,
     LimitExceeded,
-    Representation,
     Verdict,
 )
-from .solvers import _optimal_counts, greedy, optimal
+from .solvers import _walk, greedy, optimal
 
 
 def _guard(stop: int, budget: Optional[int]) -> None:
@@ -179,14 +178,13 @@ def first_counterexample_in(
 ) -> Optional[Counterexample]:
     """Smallest counterexample with start <= x < stop, by exhaustive scan.
 
-    The optimal representation is backtracked from the scan's own size
-    table, with the same larger-coin-first tie-break as ``optimal()``.
+    The optimal representation is read off the scan's own size table by
+    the walk behind ``optimal()``, so it is the one ``optimal()`` gives.
     """
     hit, _, opt = _scan(system.denoms, max(start, 1), stop, budget)
     if hit is None:
         return None
-    counts = _optimal_counts(system.denoms, opt, hit)
-    return Counterexample(hit, greedy(system, hit), Representation(tuple(counts), hit, opt[hit]))
+    return Counterexample(hit, greedy(system, hit), next(_walk(system.denoms, opt, hit)))
 
 
 def smallest_counterexample(

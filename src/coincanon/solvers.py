@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .core import (
@@ -85,30 +86,56 @@ class DpTable:
     opt_size: tuple[int, ...]
 
 
+def _sizes(denoms: tuple[int, ...], x: int, budget: Optional[int]) -> list[int]:
+    """The minimal size of every amount 0..x, after checking the x + 1 table
+    entries against the budget (``LimitExceeded``)."""
+    if x < 0:
+        raise ValueError("amount must be non-negative")
+    _check_budget(x + 1, budget)
+    return _opt_sizes(denoms, x)
+
+
 def dp_table(system: CoinSystem, limit: int, budget: Optional[int] = None) -> DpTable:
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    _check_budget(limit + 1, budget)
-    return DpTable(system, limit, tuple(_opt_sizes(system.denoms, limit)))
+    return DpTable(system, limit, tuple(_sizes(system.denoms, limit, budget)))
 
 
-def _optimal_counts(denoms: tuple[int, ...], sizes: list[int], x: int) -> list[int]:
-    """Backtrack one minimal representation, preferring larger denominations."""
+def _walk(denoms: tuple[int, ...], sizes: list[int], x: int) -> Iterator[Representation]:
+    """Yield every minimum-size representation of x, each exactly once, read
+    off ``sizes``, the minimal size of every amount up to x.
+
+    Coins are taken in non-increasing index order, largest first, so each
+    multiset of coins has one path. The first item takes the largest usable
+    coin at every step: ``optimal()``'s answer. On a true table that first
+    descent never dead-ends (had rem - c_i an optimal representation with a
+    coin c_j > c_i, c_j would have been usable at rem), so a dead end before
+    the first item raises ``AssertionError``. The walk keeps its own stack,
+    so the number of coins is not bounded by the recursion limit.
+    """
     counts = [0] * len(denoms)
-    rem = x
-    hi = len(denoms) - 1
-    while rem:
-        target = sizes[rem] - 1
-        for i in range(hi, -1, -1):
-            c = denoms[i]
-            if c <= rem and sizes[rem - c] == target:
+    taken: list[int] = []  # the coin indices on the current path
+    rem, i = x, len(denoms) - 1  # the amount left and the next coin to try
+    found = False
+    while True:
+        if not rem:
+            found = True
+            yield Representation(tuple(counts), x, sizes[x])
+        else:
+            target = sizes[rem] - 1
+            while i >= 0 and (denoms[i] > rem or sizes[rem - denoms[i]] != target):
+                i -= 1
+            if i >= 0:  # take coin i; the next coin may be coin i again
                 counts[i] += 1
-                rem -= c
-                hi = i  # later coins can only be this large or smaller
-                break
-        else:  # pragma: no cover - sizes table always admits a step
-            raise AssertionError("inconsistent size table")
-    return counts
+                taken.append(i)
+                rem -= denoms[i]
+                continue
+            if not found:
+                raise AssertionError("inconsistent size table")
+        if not taken:
+            return
+        i = taken.pop()  # put the last coin back and try the next smaller one
+        counts[i] -= 1
+        rem += denoms[i]
+        i -= 1
 
 
 def optimal(system: CoinSystem, x: int, budget: Optional[int] = None) -> Representation:
@@ -117,37 +144,8 @@ def optimal(system: CoinSystem, x: int, budget: Optional[int] = None) -> Represe
     Deterministic: among denominations that reach the minimum, the largest is
     preferred at every step.
     """
-    if x < 0:
-        raise ValueError("amount must be non-negative")
-    _check_budget(x + 1, budget)
-    sizes = _opt_sizes(system.denoms, x)
-    counts = _optimal_counts(system.denoms, sizes, x)
-    return Representation(tuple(counts), x, sizes[x])
-
-
-def _iter_optimal_counts(
-    denoms: tuple[int, ...], sizes: list[int], x: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield every minimal-size count vector for x, each exactly once.
-
-    Coins are chosen in non-increasing index order, so each multiset of coins
-    corresponds to a unique path.
-    """
-    counts = [0] * len(denoms)
-
-    def rec(rem: int, hi: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(counts)
-            return
-        target = sizes[rem] - 1
-        for i in range(hi, -1, -1):
-            c = denoms[i]
-            if c <= rem and sizes[rem - c] == target:
-                counts[i] += 1
-                yield from rec(rem - c, i)
-                counts[i] -= 1
-
-    return rec(x, len(denoms) - 1)
+    d = system.denoms
+    return next(_walk(d, _sizes(d, x, budget), x))
 
 
 @dataclass(frozen=True)
@@ -164,18 +162,10 @@ def optimal_all(
     cap: int = 10_000,
     budget: Optional[int] = None,
 ) -> OptimalSet:
-    """Every minimum-size representation of x, truncated at ``cap``."""
-    if x < 0:
-        raise ValueError("amount must be non-negative")
+    """Every minimum-size representation of x, truncated at ``cap``, in the
+    walk's order, so the first is ``optimal()``'s answer."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    _check_budget(x + 1, budget)
-    sizes = _opt_sizes(system.denoms, x)
-    reps = []
-    truncated = False
-    for counts in _iter_optimal_counts(system.denoms, sizes, x):
-        if len(reps) == cap:
-            truncated = True
-            break
-        reps.append(Representation(counts, x, sizes[x]))
-    return OptimalSet(tuple(reps), truncated)
+    d = system.denoms
+    reps = tuple(islice(_walk(d, _sizes(d, x, budget), x), cap + 1))
+    return OptimalSet(reps[:cap], len(reps) > cap)

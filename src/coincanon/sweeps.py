@@ -97,6 +97,8 @@ def pearson_equivalence_sweep(
     the oracle's value (the Counterexample constructor re-checks the size
     invariants).
     """
+    if full_check_stride < 1:
+        raise ValueError("full_check_stride must be at least 1")
     from .fastcheck import _pearson_scan, pearson_check
 
     index = count(1)

@@ -26,7 +26,7 @@ from coincanon import (
     read_corpus,
     tight_corpus,
 )
-from coincanon.generate import parse_coins
+from coincanon.generate import near_arithmetic_corpus, parse_coins
 
 
 def test_family_examples():
@@ -110,6 +110,9 @@ def test_tight_corpus_excludes_untight():
 def test_tight_corpus_budget():
     with pytest.raises(BudgetExhausted):
         tight_corpus(4, 12, seed=0, target_count=1000, max_attempts=200)
+    for make in (tight_corpus, near_arithmetic_corpus):
+        with pytest.raises(ValueError, match="target_count must be at least 1"):
+            make(6, 120, seed=0, target_count=0)
 
 
 def test_corpus_line_round_trip():

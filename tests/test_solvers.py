@@ -13,7 +13,7 @@ from coincanon import (
     optimal,
     optimal_all,
 )
-from coincanon.solvers import _greedy_size
+from coincanon.solvers import _greedy_size, _walk
 
 from _brute import (
     all_optimal_bruteforce,
@@ -125,15 +125,18 @@ def test_optimal_all_examples():
 def test_optimal_all_matches_bruteforce():
     rng = random.Random(6)
     for _ in range(80):
-        m = rng.randint(2, 5)
+        m = rng.randint(2, 6)
         s = new_coin_system([1] + sorted(rng.sample(range(2, 30), m - 1)))
         x = rng.randint(1, 40)
         res = optimal_all(s, x)
         assert not res.truncated
         got = {r.counts for r in res.representations}
+        assert len(got) == len(res.representations)  # each exactly once
         assert got == all_optimal_bruteforce(s.denoms, x)
         sizes = {r.size for r in res.representations}
         assert sizes == {optimal(s, x).size}
+        # optimal() is the walk's first item, so both keep one order.
+        assert res.representations[0] == optimal(s, x)
 
 
 def test_optimal_all_truncation_flag():
@@ -145,6 +148,25 @@ def test_optimal_all_truncation_flag():
     res = optimal_all(s, 4, cap=1)
     assert res.truncated
     assert len(res.representations) == 1
+    res = optimal_all(s, 4, cap=2)  # exactly cap representations: complete
+    assert not res.truncated
+    assert [r.counts for r in res.representations] == [(1, 0, 1), (0, 2, 0)]
+
+
+def test_optimal_all_has_no_depth_limit():
+    # One coin per step: 1000 quarters and 1500 twos lie far deeper than the
+    # interpreter's recursion limit.
+    res = optimal_all(new_coin_system([1, 5, 10, 25]), 25000)
+    assert [r.counts for r in res.representations] == [(0, 0, 0, 1000)]
+    assert not res.truncated
+    res = optimal_all(new_coin_system([1, 2]), 3000)
+    assert [r.counts for r in res.representations] == [(0, 1500)]
+
+
+def test_walk_rejects_an_inconsistent_table():
+    # sizes[2] == 1 claims a one-coin representation of 2 under coins 1 and 5.
+    with pytest.raises(AssertionError, match="inconsistent size table"):
+        next(_walk((1, 5), [0, 1, 1], 2))
 
 
 def test_dp_table_examples():

@@ -4,6 +4,8 @@ disagreements."""
 
 import random
 
+import pytest
+
 from coincanon import Verdict, new_coin_system
 from coincanon.generate import enumerate_all
 from coincanon.predicates import PREDICATES
@@ -140,6 +142,9 @@ def test_pearson_equivalence_sweep_counts_match_compare_with_oracle():
         assert (report.total, report.canonical, report.non_canonical) == (
             want.total, want.canonical, want.non_canonical
         )
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="full_check_stride must be at least 1"):
+            pearson_equivalence_sweep(enumerate_all(5, 20), full_check_stride=stride)
 
 
 def test_pearson_equivalence_sweep_catches_a_wrong_scan_or_wrapper(monkeypatch):

@@ -25,6 +25,7 @@ from coincanon.cli import run  # noqa: E402
 
 CORPUS = "CORPUS"  # stands for a corpus file the transcript writes first
 PAIR = "1,2,3,4,3000000000,4000000000"
+DEEP = "1,1000,300001"  # witness: 301 copies of 1000
 TIGHT_METHODS = ("tight-verbatim", "tight-extended")
 
 COMMANDS: list[list[str]] = [
@@ -43,6 +44,7 @@ COMMANDS: list[list[str]] = [
     ["check", "1,2,4,5,300000000", "--json"],
     ["check", "1,2,300000001,400000000", "--json"],
     ["check", "1,3000000000,4000000000", "--json"],
+    ["check", DEEP, "--method", "pearson", "--json"],
     # check: witnesses above the table budget, and resource limits
     *(["check", PAIR, "--method", method, "--skip-tight-check", "--json"]
       for method in TIGHT_METHODS),
@@ -61,6 +63,7 @@ COMMANDS: list[list[str]] = [
     # witness and tight
     ["witness", "1,7,10,11"],
     ["witness", "1,7,10,11", "--json"],
+    ["witness", DEEP, "--json"],
     ["witness", "1,5,10,25"],
     ["witness", "1,2", "--dp-budget", "1"],
     ["tight", "1,7,10,11"],
