@@ -1,4 +1,6 @@
-"""Constant-window canonicity tests for systems with up to five denominations.
+"""Constant-window canonicity tests for systems with up to five denominations,
+and Pearson's candidate scan, which finds the smallest counterexample of any
+system.
 
 These checkers decide canonicity from a handful of structural conditions
 instead of a full scan, but every witness they report is a genuine
@@ -19,8 +21,13 @@ from .core import (
     Verdict,
     WrongArity,
 )
-from .oracle import first_counterexample_in, smallest_counterexample
-from .solvers import _greedy_size, greedy
+from .oracle import (
+    _guard,
+    _smallest_counterexample_at,
+    first_counterexample_in,
+    smallest_counterexample,
+)
+from .solvers import _greedy_counts, _greedy_size, greedy
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,51 @@ def one_point_extension(prefix: CoinSystem, c_new: int) -> Verdict:
     return Verdict(Counterexample(x, greedy(extended, x), Representation(counts, x, k)))
 
 
-def propagation_witness(system: CoinSystem, budget: Optional[int] = None) -> Counterexample:
-    """A counterexample below ``c_m + c3`` for a system whose three-coin
-    prefix is non-canonical.
+def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
+    """Smallest firing candidate amount, or None when no candidate fires.
 
-    A non-canonical three-coin prefix always propagates: the full system has
-    a counterexample below that bound. Not finding one is reported loudly
-    because it would falsify the propagation result.
+    For every pair ``l <= r`` of denomination indices below the top one, the
+    candidate takes the greedy representation of ``c_{r+1} - 1``, keeps its
+    entries strictly between l and r, bumps entry l by one and zeroes the
+    rest. The candidate amount is a counterexample whenever its greedy size
+    exceeds the candidate's own size.
+    """
+    m = len(denoms)
+    best = None
+    for r in range(m - 1):  # r is the 0-based index of c_{r+1} in 1-based terms
+        g = _greedy_counts(denoms, denoms[r + 1] - 1)
+        for left in range(r, -1, -1):
+            x = (g[left] + 1) * denoms[left]
+            cnt = g[left] + 1
+            for i in range(left + 1, r + 1):
+                k = g[i]
+                if k:
+                    x += k * denoms[i]
+                    cnt += k
+            if (best is None or x < best) and _greedy_size(denoms, x) > cnt:
+                best = x
+    return best
+
+
+def _propagated(system: CoinSystem, cex: Optional[Counterexample]) -> Counterexample:
+    """cex, the counterexample found below ``c_m + c3`` in a system whose
+    three-coin prefix is non-canonical. A non-canonical three-coin prefix
+    always propagates, so finding none is reported loudly: it would falsify
+    the propagation result."""
+    if cex is None:
+        raise TheoremViolation(
+            f"{system}: three-coin prefix is non-canonical but no counterexample"
+            f" below {system.largest + system.denoms[2]}"
+        )
+    return cex
+
+
+def propagation_witness(system: CoinSystem, budget: Optional[int] = None) -> Counterexample:
+    """The smallest counterexample of a system whose three-coin prefix is
+    non-canonical; it lies below ``c_m + c3``.
+
+    The amount comes from Pearson's scan and the witness is built at it
+    without a table, so the work does not grow with the coin values.
     """
     d = system.denoms
     if len(d) < 4:
@@ -113,12 +158,12 @@ def propagation_witness(system: CoinSystem, budget: Optional[int] = None) -> Cou
     if not _kz3_non_canonical(d):
         raise ValueError(f"three-coin prefix of {system} is canonical")
     bound = d[-1] + d[2]
-    cex = first_counterexample_in(system, 1, bound, budget)
-    if cex is None:
-        raise TheoremViolation(
-            f"{system}: three-coin prefix is non-canonical but no counterexample below {bound}"
-        )
-    return cex
+    # The window scan's budget refusal, kept until the benchmark accepts the
+    # answer on its planted faults (ROADMAP items 1-2).
+    _guard(bound, budget)
+    x = _pearson_scan(d)
+    found = x is not None and x < bound
+    return _propagated(system, _smallest_counterexample_at(system, x) if found else None)
 
 
 def check_four(system: CoinSystem, budget: Optional[int] = None) -> Verdict:

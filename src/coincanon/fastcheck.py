@@ -24,39 +24,14 @@ from .core import (
 from .characterize import (
     _kz3_non_canonical,
     _one_point_amount,
+    _pearson_scan,
+    _propagated,
     check_five,
     check_four,
     check_three,
-    propagation_witness,
 )
-from .oracle import counterexample_at, is_canonical_oracle
-from .solvers import _greedy_counts, _greedy_size, greedy
-
-
-def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
-    """Smallest firing candidate amount, or None when no candidate fires.
-
-    For every pair ``l <= r`` of denomination indices below the top one, the
-    candidate takes the greedy representation of ``c_{r+1} - 1``, keeps its
-    entries strictly between l and r, bumps entry l by one and zeroes the
-    rest. The candidate amount is a counterexample whenever its greedy size
-    exceeds the candidate's own size.
-    """
-    m = len(denoms)
-    best = None
-    for r in range(m - 1):  # r is the 0-based index of c_{r+1} in 1-based terms
-        g = _greedy_counts(denoms, denoms[r + 1] - 1)
-        for left in range(r, -1, -1):
-            x = (g[left] + 1) * denoms[left]
-            cnt = g[left] + 1
-            for i in range(left + 1, r + 1):
-                k = g[i]
-                if k:
-                    x += k * denoms[i]
-                    cnt += k
-            if (best is None or x < best) and _greedy_size(denoms, x) > cnt:
-                best = x
-    return best
+from .oracle import counterexample_at, first_counterexample_in, is_canonical_oracle
+from .solvers import greedy
 
 
 def pearson_check(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
@@ -97,7 +72,10 @@ def _tight_check(
     top = d[-1]
 
     if _kz3_non_canonical(d):
-        witness = propagation_witness(system, budget)
+        # Step 1: the prefix propagates below c_m + c3. With the top coin a
+        # small multiple of m, the window scan there takes about m**2 amount
+        # steps, where propagation_witness's Pearson scan takes m**3 / 6.
+        witness = _propagated(system, first_counterexample_in(system, 1, top + d[2], budget))
         return TightCheckReport(Verdict(witness), variant, 0, True)
 
     coins = set(d[:-1])

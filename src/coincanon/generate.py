@@ -53,11 +53,15 @@ def family(kind: str, m: int, step: int = 1, ratio: int = 2) -> CoinSystem:
     raise ValueError(f"unknown family {kind!r}")
 
 
+def _check_m_cmax(m: int, cmax: int) -> None:
+    if m < 1 or cmax < m:
+        raise ValueError("need m >= 1 and cmax >= m")
+
+
 def enumerate_all(m: int, cmax: int) -> Iterator[CoinSystem]:
     """Every system with m denominations and largest value <= cmax, in
     lexicographic order. There are C(cmax-1, m-1) of them."""
-    if m < 1 or cmax < m:
-        raise ValueError("need m >= 1 and cmax >= m")
+    _check_m_cmax(m, cmax)
     for rest in combinations(range(2, cmax + 1), m - 1):
         yield CoinSystem((1,) + rest)
 
@@ -65,8 +69,7 @@ def enumerate_all(m: int, cmax: int) -> Iterator[CoinSystem]:
 def random_system(m: int, cmax: int, seed: int) -> CoinSystem:
     """Uniform over all systems with m denominations and largest <= cmax;
     deterministic for a given seed."""
-    if m < 1 or cmax < m:
-        raise ValueError("need m >= 1 and cmax >= m")
+    _check_m_cmax(m, cmax)
     rest = Random(seed).sample(range(2, cmax + 1), m - 1)
     return CoinSystem((1,) + tuple(sorted(rest)))
 
@@ -113,6 +116,7 @@ def tight_corpus(
 ) -> list[tuple[CoinSystem, Verdict]]:
     """Distinct random systems that pass the tightness filter, each annotated
     with its oracle verdict."""
+    _check_m_cmax(m, cmax)
     if max_attempts is None:
         max_attempts = 2_000 * target_count
     rng = Random(seed)

@@ -19,9 +19,10 @@ from .core import (
     CoinSystem,
     Counterexample,
     LimitExceeded,
+    Representation,
     Verdict,
 )
-from .solvers import _walk, greedy, optimal
+from .solvers import _greedy_counts, _greedy_size, _walk, greedy, optimal
 
 
 def _guard(stop: int, budget: Optional[int]) -> None:
@@ -171,6 +172,36 @@ def counterexample_at(
     if g.size <= o.size:
         return None
     return Counterexample(x, g, o)
+
+
+def _smallest_counterexample_at(system: CoinSystem, x: int) -> Counterexample:
+    """Full counterexample record for x, the system's smallest counterexample,
+    with ``optimal()``'s representation, built without a table.
+
+    Every amount below x is greedy-optimal, so the optimal size of x is
+    ``1 + min greedy_size(x - c)`` over the coins ``c <= x``. ``optimal()``
+    takes the largest coin c reaching that minimum, and its answer is c plus
+    greedy's representation of ``r = x - c``. Proof: the walk behind
+    ``optimal()`` goes on from r taking, at each amount below x, the largest
+    coin not above the previous one that lowers the optimal size by one.
+    Greedy's coin there, the largest coin at or below the amount, lowers it,
+    because the amount is greedy-optimal; so the walk takes it unless it
+    exceeds the previous coin. Greedy's coins never increase, so only its
+    first coin c' of r could exceed c, and it cannot: x - c' = c + (r - c')
+    needs at most ``1 + opt(r - c') = opt(r) = opt(x) - 1`` coins, so c'
+    would have been usable at x, and c was the largest usable coin.
+    """
+    d = system.denoms
+    size = top = None
+    for i, c in enumerate(d):
+        if c > x:
+            break
+        s = _greedy_size(d, x - c)
+        if size is None or s <= size:  # ties go to the larger coin
+            size, top = s, i
+    counts = _greedy_counts(d, x - d[top])
+    counts[top] += 1
+    return Counterexample(x, greedy(system, x), Representation(tuple(counts), x, size + 1))
 
 
 def first_counterexample_in(

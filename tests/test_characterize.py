@@ -10,7 +10,9 @@ from coincanon import (
     check_five,
     check_four,
     check_three,
+    first_counterexample_in,
     is_canonical_oracle,
+    is_canonical_tight_extended,
     kz3_analysis,
     new_coin_system,
     one_point_extension,
@@ -233,8 +235,39 @@ def test_propagation_bound_random():
             continue
         w = propagation_witness(s)
         assert w.x < s.largest + s.denoms[2]
+        assert w == smallest_counterexample(s), s
         checked += 1
     assert checked > 100
+
+
+def test_propagation_witness_equals_oracle_small_exhaustive():
+    # Every four- and five-coin system up to 24 with a non-canonical
+    # three-coin prefix. Small coins tie among optimal representations
+    # (1,3,4,5,6 at 8: 5+3 and 4+4), so the whole witness pins optimal()'s
+    # choice, not just the amount.
+    checked = 0
+    for m in (4, 5):
+        for s in enumerate_all(m, 24):
+            if kz3_analysis(s.prefix(3)).non_canonical:
+                assert propagation_witness(s) == smallest_counterexample(s), s
+                checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("coins", [
+    (1, *range(3, 9)),  # 1,3,4,...,8
+    (1, *range(3, 67)),  # 1,3,4,...,66: many small coins
+    (1, 3, 4, 100_003),  # a top coin far above the witness
+])
+def test_propagation_witness_equals_the_window_scan(coins):
+    # propagation_witness (Pearson's scan) and the tight check's step 1 (the
+    # window scan below c_m + c3) report the same witness.
+    s = new_coin_system(coins)
+    want = first_counterexample_in(s, 1, s.largest + s.denoms[2])
+    assert propagation_witness(s) == want
+    if s.m >= 6:
+        r = is_canonical_tight_extended(s)
+        assert r.step1_fired and r.verdict.witness == want
 
 
 def test_propagation_requires_non_canonical_prefix():

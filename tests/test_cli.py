@@ -141,6 +141,10 @@ def test_usage_errors(capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
     capsys.readouterr()
+    # The tight generator checks m and cmax before it draws, as the plain one does.
+    for m, cmax in (("10", "5"), ("0", "5")):
+        assert run(["gen", "--random", "--m", m, "--cmax", cmax, "--count", "1", "--tight"]) == 2
+        assert capsys.readouterr().err == "error: need m >= 1 and cmax >= m\n"
 
 
 def test_tight_method_with_skip(capsys):
@@ -155,6 +159,11 @@ def test_tight_method_with_skip(capsys):
 def test_resource_exit_code(capsys):
     assert run(["check", "1,7,10,50000", "--method", "oracle", "--dp-budget", "100"]) == 3
     capsys.readouterr()
+    # propagation_witness still refuses a bound c_m + c3 above the budget,
+    # even when Pearson's scan finds the witness (6) without a table.
+    for coins in ("1,3,4,5000000000", "1,3,4,10,5000000000"):
+        assert run(["check", coins]) == 3
+        assert "scan over 5000000004 amounts" in capsys.readouterr().err
 
 
 def test_three_coin_witness_above_the_dp_budget(capsys):

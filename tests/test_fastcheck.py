@@ -32,7 +32,7 @@ def test_pearson_trivial_arities():
 
 def test_pearson_equals_oracle_small_exhaustive():
     # All systems with up to 5 denominations drawn from {2..24}: verdict and
-    # smallest-witness value must both match.
+    # the whole smallest witness (amount, greedy and optimal counts) must match.
     from itertools import combinations
     total = 0
     for m in (3, 4, 5):
@@ -42,7 +42,7 @@ def test_pearson_equals_oracle_small_exhaustive():
             o = smallest_counterexample(s)
             assert v.canonical == (o is None), s
             if o is not None:
-                assert v.witness.x == o.x, s
+                assert v.witness == o, s
             total += 1
     assert total > 10_000
 
@@ -56,7 +56,7 @@ def test_pearson_random_larger():
         o = smallest_counterexample(s)
         assert v.canonical == (o is None), s
         if o is not None:
-            assert v.witness.x == o.x, s
+            assert v.witness == o, s
 
 
 def test_tight_verbatim_examples():

@@ -26,6 +26,7 @@ from coincanon.cli import run  # noqa: E402
 CORPUS = "CORPUS"  # stands for a corpus file the transcript writes first
 PAIR = "1,2,3,4,3000000000,4000000000"
 DEEP = "1,1000,300001"  # witness: 301 copies of 1000
+STEP1 = ",".join(map(str, (1, *range(3, 67))))  # 1,3,4,...,66: a non-canonical 1,3,4 prefix
 TIGHT_METHODS = ("tight-verbatim", "tight-extended")
 
 COMMANDS: list[list[str]] = [
@@ -45,10 +46,14 @@ COMMANDS: list[list[str]] = [
     ["check", "1,2,300000001,400000000", "--json"],
     ["check", "1,3000000000,4000000000", "--json"],
     ["check", DEEP, "--method", "pearson", "--json"],
+    ["check", "1,103,9891,20000", "--json"],  # witness 9991: 97 copies of 103
+    ["check", STEP1, "--method", "tight-extended", "--json"],
     # check: witnesses above the table budget, and resource limits
     *(["check", PAIR, "--method", method, "--skip-tight-check", "--json"]
       for method in TIGHT_METHODS),
     ["check", "1,2,3,4,5,3000000000,4000000000"],
+    ["check", "1,3,4,5000000000"],
+    ["check", "1,3,4,10,5000000000"],
     ["check", "1,7,10,50000", "--method", "oracle", "--dp-budget", "100"],
     # check: tightness and arity of the tight methods, and usage errors
     ["check", "1,7,10,50,60,70", "--method", "tight-extended"],
