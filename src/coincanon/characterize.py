@@ -21,12 +21,7 @@ from .core import (
     Verdict,
     WrongArity,
 )
-from .oracle import (
-    _guard,
-    _smallest_counterexample_at,
-    first_counterexample_in,
-    smallest_counterexample,
-)
+from .oracle import _guard, _smallest_counterexample_at
 from .solvers import _greedy_counts, _greedy_size, greedy
 
 
@@ -118,6 +113,12 @@ def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
     m = len(denoms)
     best = None
     for r in range(m - 1):  # r is the 0-based index of c_{r+1} in 1-based terms
+        # Every candidate of row r is at least denoms[r + 1]: it is
+        # (denoms[r + 1] - 1) - R + denoms[left], where R < denoms[left] is
+        # greedy's remainder below coin ``left``. Later rows start higher
+        # still, so a best amount at or below denoms[r + 1] is final.
+        if best is not None and best <= denoms[r + 1]:
+            break
         g = _greedy_counts(denoms, denoms[r + 1] - 1)
         for left in range(r, -1, -1):
             x = (g[left] + 1) * denoms[left]
@@ -187,27 +188,22 @@ def check_five(system: CoinSystem, budget: Optional[int] = None) -> Verdict:
     canonical completions are ``<1, 2, c3, c3+1, 2*c3>`` with ``c3 > 3``;
     with a canonical four-coin prefix the last coin is judged by the
     one-point extension test.
-    Outside the family the witness is the smallest counterexample, scanned
-    only up to the four-coin prefix's one-point amount y when ``y < c5``:
-    below c5 the system agrees with that prefix.
+    Outside the family the witness is the smallest counterexample, found by
+    Pearson's scan and built without a table, as in ``propagation_witness``.
     """
     if system.m != 5:
         raise WrongArity(f"check_five needs exactly 5 denominations, got {system.m}")
     d = system.denoms
     if _kz3_non_canonical(d):
         return Verdict(propagation_witness(system, budget))
-    y = _one_point_amount(d[:4])
-    if y is None:
+    if _one_point_amount(d[:4]) is None:
         return one_point_extension(system.prefix(4), d[4])
     in_family = d[1] == 2 and d[3] == d[2] + 1 and d[4] == 2 * d[2] and d[2] > 3
     if in_family:
         return Verdict()
-    if y < d[4]:
-        witness = first_counterexample_in(system, 1, y + 1, budget)
-    else:
-        witness = smallest_counterexample(system, budget)
-    if witness is None:  # pragma: no cover - would falsify the five-coin characterization
+    x = _pearson_scan(d)
+    if x is None:  # pragma: no cover - would falsify the five-coin characterization
         raise TheoremViolation(
             f"{system}: five-coin characterization says non-canonical but no counterexample found"
         )
-    return Verdict(witness)
+    return Verdict(_smallest_counterexample_at(system, x))

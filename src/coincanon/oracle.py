@@ -104,11 +104,9 @@ def _scan(
     none). The size arrays cover amounts ``0..stop-1`` unless the scan
     stopped early, in which case they end at ``hit``: they grow one amount
     at a time, so an early hit never pays for the rest of the window.
+    A one-off scan is the scan of a fresh ``_PrefixCache``.
     """
-    _guard(stop, budget)
-    grd, opt, hits = [0], [0], []
-    _extend(denoms, grd, opt, hits, start, stop, stop_at_hit)
-    return _first(hits, start, stop), grd, opt
+    return _PrefixCache().scan(denoms, start, stop, budget, stop_at_hit)
 
 
 class _PrefixCache:

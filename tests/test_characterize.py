@@ -20,9 +20,12 @@ from coincanon import (
     propagation_witness,
     smallest_counterexample,
 )
+from coincanon import characterize
+from coincanon.characterize import _pearson_scan
 from coincanon.core import Representation
 from coincanon.generate import enumerate_all
 from coincanon.oracle import counterexample_at
+from coincanon.solvers import _greedy_counts
 
 
 def test_kz3_examples():
@@ -201,8 +204,8 @@ def test_check_five_equals_oracle_small():
 
 def test_check_five_fallback_witness_is_the_smallest():
     # Canonical three-coin prefix, non-canonical four-coin prefix, outside
-    # the canonical family: the scan stops at the prefix's one-point amount
-    # when that lies below c5, and must still find the smallest counterexample.
+    # the canonical family: Pearson's amount and the closed-form witness must
+    # be the oracle's whole record, ties among optimal representations too.
     checked = 0
     for s in enumerate_all(5, 40):
         if kz3_analysis(s.prefix(3)).non_canonical or check_four(s.prefix(4)).canonical:
@@ -242,16 +245,20 @@ def test_propagation_bound_random():
 
 def test_propagation_witness_equals_oracle_small_exhaustive():
     # Every four- and five-coin system up to 24 with a non-canonical
-    # three-coin prefix. Small coins tie among optimal representations
-    # (1,3,4,5,6 at 8: 5+3 and 4+4), so the whole witness pins optimal()'s
-    # choice, not just the amount.
-    checked = 0
+    # three-coin prefix, and every five-coin one on check_five's fallback
+    # (canonical three-coin prefix, non-canonical four-coin prefix). Small
+    # coins tie among optimal representations (1,3,4,5,6 at 8: 5+3 and 4+4),
+    # so the whole witness pins optimal()'s choice, not just the amount.
+    checked = fallback = 0
     for m in (4, 5):
         for s in enumerate_all(m, 24):
             if kz3_analysis(s.prefix(3)).non_canonical:
                 assert propagation_witness(s) == smallest_counterexample(s), s
                 checked += 1
-    assert checked > 5000
+            elif m == 5 and not check_four(s.prefix(4)).canonical:
+                assert check_five(s).witness == smallest_counterexample(s), s
+                fallback += 1
+    assert checked > 5000 and fallback > 500
 
 
 @pytest.mark.parametrize("coins", [
@@ -268,6 +275,20 @@ def test_propagation_witness_equals_the_window_scan(coins):
     if s.m >= 6:
         r = is_canonical_tight_extended(s)
         assert r.step1_fired and r.verdict.witness == want
+
+
+def test_pearson_scan_stops_once_no_later_row_can_be_smaller(monkeypatch):
+    # 1,3,4,7,8,...,60: row 1 finds 6, below every candidate of row 2 on
+    # (each is at least denoms[3] = 7), so the scan ends after two greedy rows.
+    calls = []
+
+    def counting(denoms, x):
+        calls.append(x)
+        return _greedy_counts(denoms, x)
+
+    monkeypatch.setattr(characterize, "_greedy_counts", counting)
+    assert _pearson_scan((1, 3, 4, *range(7, 61))) == 6
+    assert len(calls) <= 2
 
 
 def test_propagation_requires_non_canonical_prefix():

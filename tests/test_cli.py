@@ -181,8 +181,10 @@ _PAIR = ("1,2,3,4,3000000000,4000000000", 6_000_000_000, [0, 0, 0, 0, 2, 0])
 @pytest.mark.parametrize("coins,x,optimal_counts,args", [
     # one-point witness: k+1 copies of the prefix's top coin, built without a DP
     ("1,2,300000001,400000000", 600_000_002, [0, 0, 2, 0], []),
-    # check_five's fallback scans only up to the four-coin prefix's witness
+    # check_five's fallback: Pearson's amount, the witness built without a table
     ("1,2,4,5,300000000", 8, [0, 0, 2, 0, 0], []),
+    ("1,2,300000000,300000001,700000000", 600_000_000, [0, 0, 2, 0, 0], []),
+    ("1,2,300000000,300000001,500000000", 600_000_000, [0, 0, 2, 0, 0], []),
     # the tight check's pair-sum witness is closed form
     (*_PAIR, ["--method", "tight-verbatim", "--skip-tight-check"]),
     (*_PAIR, ["--method", "tight-extended", "--skip-tight-check"]),

@@ -20,7 +20,11 @@ from coincanon import (
 from coincanon.generate import enumerate_all
 from coincanon.oracle import _PrefixCache, _scan, _window
 
-from _brute import min_size_bruteforce, smallest_counterexample_bruteforce
+from _brute import (
+    greedy_size_bruteforce,
+    min_size_bruteforce,
+    smallest_counterexample_bruteforce,
+)
 
 
 def test_worked_examples():
@@ -118,6 +122,18 @@ def test_scan_arrays_end_at_the_hit():
     hit, grd, opt = _scan((1, 5, 10, 25), 1, 60, None)
     assert hit is None and len(grd) == len(opt) == 60
     assert opt[:7] == [0, 1, 2, 3, 4, 1, 2]
+    # Random ranges against enumeration, which shares no code with _scan.
+    rng = random.Random(14)
+    for _ in range(150):
+        d = tuple([1] + sorted(rng.sample(range(2, 16), rng.randint(1, 3))))
+        start, stop, stop_at_hit = rng.randint(0, 30), rng.randint(0, 40), rng.random() < 0.5
+        hit, grd, opt = _scan(d, start, stop, None, stop_at_hit)
+        want = [x for x in range(start, stop)
+                if greedy_size_bruteforce(d, x) > min_size_bruteforce(d, x)]
+        assert hit == (want[0] if want else None), (d, start, stop)
+        n = hit + 1 if stop_at_hit and want else max(stop, 1)
+        assert grd == [greedy_size_bruteforce(d, x) for x in range(n)], (d, start, stop)
+        assert opt == [min_size_bruteforce(d, x) for x in range(n)], (d, start, stop)
 
 
 def test_oracle_matches_bruteforce_scan():

@@ -27,6 +27,7 @@ CORPUS = "CORPUS"  # stands for a corpus file the transcript writes first
 PAIR = "1,2,3,4,3000000000,4000000000"
 DEEP = "1,1000,300001"  # witness: 301 copies of 1000
 STEP1 = ",".join(map(str, (1, *range(3, 67))))  # 1,3,4,...,66: a non-canonical 1,3,4 prefix
+EARLY = ",".join(map(str, (1, 3, 4, *range(7, 600))))  # 1,3,4,7,8,...,599: witness 6, found early
 TIGHT_METHODS = ("tight-verbatim", "tight-extended")
 
 COMMANDS: list[list[str]] = [
@@ -43,9 +44,11 @@ COMMANDS: list[list[str]] = [
     ["check", "1,2"],
     ["check", "1,3,4"],
     ["check", "1,2,4,5,300000000", "--json"],
+    ["check", "1,2,300000000,300000001,700000000", "--json"],  # check_five's fallback, x above c5
     ["check", "1,2,300000001,400000000", "--json"],
     ["check", "1,3000000000,4000000000", "--json"],
     ["check", DEEP, "--method", "pearson", "--json"],
+    ["check", EARLY, "--method", "pearson", "--json"],
     ["check", "1,103,9891,20000", "--json"],  # witness 9991: 97 copies of 103
     ["check", STEP1, "--method", "tight-extended", "--json"],
     # check: witnesses above the table budget, and resource limits
