@@ -108,29 +108,86 @@ def _pearson_scan(denoms: tuple[int, ...]) -> Optional[int]:
     candidate takes the greedy representation of ``c_{r+1} - 1``, keeps its
     entries strictly between l and r, bumps entry l by one and zeroes the
     rest. The candidate amount is a counterexample whenever its greedy size
-    exceeds the candidate's own size.
+    exceeds the candidate's own size. A one-off scan is the scan of a fresh
+    ``_PearsonRows``.
     """
-    m = len(denoms)
-    best = None
-    for r in range(m - 1):  # r is the 0-based index of c_{r+1} in 1-based terms
-        # Every candidate of row r is at least denoms[r + 1]: it is
-        # (denoms[r + 1] - 1) - R + denoms[left], where R < denoms[left] is
-        # greedy's remainder below coin ``left``. Later rows start higher
-        # still, so a best amount at or below denoms[r + 1] is final.
-        if best is not None and best <= denoms[r + 1]:
-            break
-        g = _greedy_counts(denoms, denoms[r + 1] - 1)
-        for left in range(r, -1, -1):
-            x = (g[left] + 1) * denoms[left]
-            cnt = g[left] + 1
-            for i in range(left + 1, r + 1):
-                k = g[i]
-                if k:
-                    x += k * denoms[i]
-                    cnt += k
-            if (best is None or x < best) and _greedy_size(denoms, x) > cnt:
-                best = x
-    return best
+    return _PearsonRows().scan(denoms)
+
+
+class _PearsonRows:
+    """``_pearson_scan`` for a stream of systems, reusing the rows of the
+    system scanned before.
+
+    Row r holds the candidates built from the greedy representation of
+    ``c_{r+1} - 1``. For each row it ran, the scan keeps the smallest firing
+    candidate in rows <= r (``best``, None while nothing fired). Every
+    candidate in rows <= r is below ``d[r] + d[r+1]`` (see the loop). With k
+    the length of the coin prefix the next system shares and ``limit`` the
+    smaller of the two coins at index k, row r is reused when r + 2 <= k and
+    its ``best`` (or ``d[r] + d[r+1] - 1`` when nothing fired) is below
+    ``limit``.
+
+    Proof: row r's candidates depend only on ``d[:r+2]``, so with r + 2 <= k
+    the new system has the same ones. Whether a candidate x fires depends on
+    its greedy size, that is on the coins <= x, and below ``limit`` both
+    systems have the same coins, so every candidate below ``limit`` fires
+    alike in both. When nothing fired and every candidate is below
+    ``limit``, nothing fires now. Otherwise the stored best fires now, and
+    every candidate below it lies below ``limit`` and did not fire before,
+    so it does not fire now: the stored best is again the smallest firing
+    candidate in rows <= r. The rows kept are a prefix of the row list, and
+    the scan goes on from the first row not kept with that best, so the
+    early exit below applies as in a fresh scan. Results never depend on
+    the order of the stream; systems in lexicographic order share the
+    longest prefixes.
+    """
+
+    __slots__ = ("denoms", "best")
+
+    def __init__(self) -> None:
+        self.denoms: tuple[int, ...] = ()
+        self.best: list[Optional[int]] = []
+
+    def scan(self, denoms: tuple[int, ...]) -> Optional[int]:
+        rows = self.best
+        old = self.denoms
+        if rows and denoms != old:
+            k = 0
+            for a, b in zip(old, denoms):
+                if a != b:
+                    break
+                k += 1
+            limit = min(old[k:k + 1] + denoms[k:k + 1])
+            keep, stop = 0, min(len(rows), k - 1)
+            while keep < stop and (
+                old[keep] + old[keep + 1] - 1 if rows[keep] is None else rows[keep]
+            ) < limit:
+                keep += 1
+            del rows[keep:]
+        self.denoms = denoms
+        best = rows[-1] if rows else None
+        # r is the 0-based index of c_{r+1} in 1-based terms.
+        for r in range(len(rows), len(denoms) - 1):
+            # Every candidate of row r is at least denoms[r + 1], and below
+            # denoms[r] + denoms[r + 1]: it is (denoms[r + 1] - 1) - R +
+            # denoms[left], where 0 <= R < denoms[left] is greedy's remainder
+            # below coin ``left``. Later rows start higher still, so a best amount
+            # at or below denoms[r + 1] is final.
+            if best is not None and best <= denoms[r + 1]:
+                break
+            g = _greedy_counts(denoms, denoms[r + 1] - 1)
+            for left in range(r, -1, -1):
+                x = (g[left] + 1) * denoms[left]
+                cnt = g[left] + 1
+                for i in range(left + 1, r + 1):
+                    k = g[i]
+                    if k:
+                        x += k * denoms[i]
+                        cnt += k
+                if (best is None or x < best) and _greedy_size(denoms, x) > cnt:
+                    best = x
+            rows.append(best)
+        return best
 
 
 def _propagated(system: CoinSystem, cex: Optional[Counterexample]) -> Counterexample:

@@ -56,6 +56,11 @@ _NA_CANONICAL = _na("canonical")
 _NA_UNDER_THREE = _na("needs at least three denominations")
 _NA_UNDER_FOUR = _na("needs at least four denominations")
 _NA_PREFIX3_CANONICAL = _na("three-coin prefix canonical")
+_NA_UNDER_FIVE = _na("needs at least five denominations")
+_NA_PREFIX3_NON_CANONICAL = _na("three-coin prefix non-canonical")
+_NA_FULL_CANONICAL = _na("full system canonical")
+_NA_FULL_NOT_TIGHT = _na("full system not tight")
+_NA_PREFIX_CANONICAL = _na("prefix without the top coin is canonical")
 
 
 class _once:
@@ -114,17 +119,17 @@ class _Scans:
         """
         d = self.denoms
         if len(d) < 5:
-            return _na("needs at least five denominations")
+            return _NA_UNDER_FIVE
         if _kz3_non_canonical(d):
-            return _na("three-coin prefix non-canonical")
+            return _NA_PREFIX3_NON_CANONICAL
         x, _ = self.smallest
         if x is None:
-            return _na("full system canonical")
+            return _NA_FULL_CANONICAL
         if x < d[-1]:
-            return _na("full system not tight")
+            return _NA_FULL_NOT_TIGHT
         p = d[:-1]
         if self.prefix.scan(p, *_window(p), self.budget, True)[0] is None:
-            return _na("prefix without the top coin is canonical")
+            return _NA_PREFIX_CANONICAL
         # The prefix is tight: below c_m it sizes amounts as the tight full system does.
         return None
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterable, Optional
 
+from .characterize import _PearsonRows
 from .core import CoinSystem, Verdict
 from .oracle import _PrefixCache, _window
 from .predicates import _RULES, PREDICATES, Outcome, PredicateResult, _Scans
@@ -92,6 +93,9 @@ def pearson_equivalence_sweep(
     """Compare the Pearson candidate scan against the oracle scan on both the
     verdict and the smallest-witness value.
 
+    The scans share one ``_PearsonRows``, so each reuses the candidate rows
+    of the system before it that provably answer alike; it runs the same
+    candidate loop as ``_pearson_scan``, which is one scan of a fresh one.
     Every ``full_check_stride``-th system goes through the public
     ``pearson_check`` wrapper instead, whose materialized witness must carry
     the oracle's value (the Counterexample constructor re-checks the size
@@ -99,13 +103,14 @@ def pearson_equivalence_sweep(
     """
     if full_check_stride < 1:
         raise ValueError("full_check_stride must be at least 1")
-    from .fastcheck import _pearson_scan, pearson_check
+    from .fastcheck import pearson_check
 
     index = count(1)
+    rows = _PearsonRows()
 
     def found(system: CoinSystem) -> Optional[int]:
         if next(index) % full_check_stride:
-            return _pearson_scan(system.denoms)
+            return rows.scan(system.denoms)
         return _amount(pearson_check(system))
 
     return _compare("pearson", found, systems, exact=True)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincanon import (
     TheoremViolation,
@@ -21,7 +23,7 @@ from coincanon import (
     smallest_counterexample,
 )
 from coincanon import characterize
-from coincanon.characterize import _pearson_scan
+from coincanon.characterize import _PearsonRows, _pearson_scan
 from coincanon.core import Representation
 from coincanon.generate import enumerate_all
 from coincanon.oracle import counterexample_at
@@ -289,6 +291,93 @@ def test_pearson_scan_stops_once_no_later_row_can_be_smaller(monkeypatch):
     monkeypatch.setattr(characterize, "_greedy_counts", counting)
     assert _pearson_scan((1, 3, 4, *range(7, 61))) == 6
     assert len(calls) <= 2
+
+
+# Small corpora of every arity the rows serve: 3 to 8 coins, about 60k systems.
+_ROW_CORPORA = ((3, 40), (4, 30), (5, 24), (6, 20), (7, 18), (8, 17))
+
+
+def _assert_rows_match_fresh_scans(systems):
+    # One long-lived _PearsonRows answers every system as a fresh scan does.
+    rows = _PearsonRows()
+    for d in systems:
+        assert rows.scan(d) == _pearson_scan(d), d
+
+
+@pytest.mark.parametrize("m, cmax", _ROW_CORPORA)
+def test_pearson_rows_match_a_fresh_scan_in_lexicographic_order(m, cmax):
+    _assert_rows_match_fresh_scans([s.denoms for s in enumerate_all(m, cmax)])
+
+
+@pytest.mark.parametrize("m, cmax", _ROW_CORPORA)
+def test_pearson_rows_match_a_fresh_scan_shuffled(m, cmax):
+    systems = [s.denoms for s in enumerate_all(m, cmax)]
+    random.Random(m).shuffle(systems)
+    _assert_rows_match_fresh_scans(systems)
+
+
+def test_pearson_rows_match_a_fresh_scan_on_mixed_arities():
+    systems = [s.denoms for m in range(1, 9) for s in enumerate_all(m, 15)]
+    _assert_rows_match_fresh_scans(sorted(systems))
+    random.Random(16).shuffle(systems)
+    _assert_rows_match_fresh_scans(systems)
+
+
+@pytest.mark.parametrize("systems", [
+    # a system, its own prefixes, then extensions of them
+    [(1, 3, 4, 7, 11, 12), (1, 3, 4, 7), (1, 3), (1,), (1, 3, 4, 7, 11, 12, 30), (1, 3, 4, 5)],
+    [(1, 5, 10, 25, 50, 100, 220), (1, 5, 10, 25), (1, 5, 10, 25, 26), (1, 5, 10, 25, 50, 90)],
+    # the same system twice, with and without an early exit
+    [(1, 3, 4, *range(7, 30)), (1, 3, 4, *range(7, 30)), (1, 2, 5, 10), (1, 2, 5, 10)],
+    # big-coin neighbours: only the rows built from the changed coins are rebuilt
+    [(1, 2, 3, 4, 5, 3_000_000_000, 4_000_000_000), (1, 2, 3, 4, 5, 3_000_000_000, 4_000_000_001),
+     (1, 2, 3, 4, 5, 3_000_000_001, 4_000_000_001), (1, 2, 3, 4, 5, 6, 3_000_000_000)],
+    # canonical neighbours: nothing fired, so the bound on the candidates decides
+    [(1, 2, 4, 8, 16, 32), (1, 2, 4, 8, 16, 33), (1, 2, 4, 8, 17, 33), (1, 2, 4, 9, 17, 33)],
+])
+def test_pearson_rows_match_a_fresh_scan_on_neighbours(systems):
+    _assert_rows_match_fresh_scans(systems)
+
+
+@st.composite
+def _neighbour_sequences(draw):
+    """A list of systems, each keeping a drawn prefix of the one before it
+    and adding drawn gaps above that prefix."""
+    systems, prev = [], (1,)
+    for _ in range(draw(st.integers(1, 12))):
+        keep = draw(st.integers(1, len(prev)))
+        d = list(prev[:keep])
+        for gap in draw(st.lists(st.integers(1, 12), max_size=7)):
+            d.append(d[-1] + gap)
+        prev = tuple(d)
+        systems.append(prev)
+    return systems
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_neighbour_sequences())
+def test_pearson_rows_match_a_fresh_scan_on_drawn_sequences(systems):
+    _assert_rows_match_fresh_scans(systems)
+
+
+def test_pearson_rows_build_fewer_greedy_rows_in_lexicographic_order(monkeypatch):
+    # Consecutive six-coin systems mostly share the rows that decide them,
+    # so a long-lived _PearsonRows builds far fewer greedy rows than fresh
+    # scans (about 1.5 against 4.0 per system on this corpus).
+    calls = []
+
+    def counting(denoms, x):
+        calls.append(x)
+        return _greedy_counts(denoms, x)
+
+    monkeypatch.setattr(characterize, "_greedy_counts", counting)
+    systems = [s.denoms for s in enumerate_all(6, 20)]
+    want = [_pearson_scan(d) for d in systems]
+    fresh = len(calls)
+    calls.clear()
+    rows = _PearsonRows()
+    assert [rows.scan(d) for d in systems] == want
+    assert 2 * len(calls) < fresh
 
 
 def test_propagation_requires_non_canonical_prefix():

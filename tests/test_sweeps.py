@@ -148,9 +148,13 @@ def test_pearson_equivalence_sweep_counts_match_compare_with_oracle():
 
 
 def test_pearson_equivalence_sweep_catches_a_wrong_scan_or_wrapper(monkeypatch):
+    import coincanon.characterize
     import coincanon.fastcheck
-    monkeypatch.setattr(coincanon.fastcheck, "_pearson_scan", lambda denoms: None)
-    for stride in (997, 1):
+    # Break the candidate loop that the sweep's shared rows and pearson_check
+    # both run: no candidate fires. Stride 10**6 exceeds the corpus, so only
+    # the shared rows answer; with stride 1 only the wrapper does.
+    monkeypatch.setattr(coincanon.characterize, "_greedy_size", lambda denoms, x: 0)
+    for stride in (10**6, 1):
         report = pearson_equivalence_sweep(enumerate_all(5, 20), full_check_stride=stride)
         assert not report.agree
         assert report.non_canonical > 0
