@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .core import BudgetExhausted, CoinSystem, Counterexample, LimitExceeded, Verdict
 from .bench import scaling_run
-from .fastcheck import METHODS, TIGHT_METHODS
+from .fastcheck import METHODS, TIGHT_METHODS, _tight_path, tightness
 from .generate import (
     annotate,
     enumerate_all,
@@ -89,7 +89,7 @@ def _cmd_check(args) -> int:
             print(f"error: {method} needs at least 6 denominations", file=sys.stderr)
             return EXIT_USAGE
         if not args.skip_tight_check:
-            tight, cex = is_tight(system, budget)
+            tight, cex = tightness(system, budget)
             if not tight:
                 print(
                     f"error: {method} requires a tight system, but {cex.x} is a "
@@ -111,8 +111,9 @@ def _cmd_witness(args) -> int:
 
 def _cmd_tight(args) -> int:
     system = parse_coins(args.coins)
-    return _emit(args, system, "oracle", lambda: Verdict(is_tight(system, args.dp_budget)[1]),
-                 ("tight", "not-tight"),
+    budget = args.dp_budget
+    return _emit(args, system, _tight_path(system, budget),
+                 lambda: Verdict(tightness(system, budget)[1]), ("tight", "not-tight"),
                  f"not tight; counterexample {{}} (below {system.largest})")
 
 

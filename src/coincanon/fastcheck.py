@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .core import (
+    DEFAULT_DP_BUDGET,
     CoinSystem,
     Counterexample,
     Representation,
@@ -30,7 +31,13 @@ from .characterize import (
     check_four,
     check_three,
 )
-from .oracle import counterexample_at, first_counterexample_in, is_canonical_oracle
+from .oracle import (
+    _smallest_counterexample_at,
+    counterexample_at,
+    first_counterexample_in,
+    is_canonical_oracle,
+    is_tight,
+)
 from .solvers import greedy
 
 
@@ -173,6 +180,31 @@ METHODS: dict[str, Callable[[CoinSystem, Optional[int]], Verdict]] = {
 # The deciders that need at least six coins and promise exact verdicts only
 # on tight systems.
 TIGHT_METHODS = ("tight-verbatim", "tight-extended")
+
+
+def _tight_path(system: CoinSystem, budget: Optional[int]) -> Literal["oracle", "pearson"]:
+    """How ``tightness`` decides: ``"oracle"`` when ``is_tight``'s scan of the
+    amounts below the top coin fits the budget, ``"pearson"`` otherwise."""
+    cap = DEFAULT_DP_BUDGET if budget is None else budget
+    return "oracle" if system.largest <= cap else "pearson"
+
+
+def tightness(
+    system: CoinSystem, budget: Optional[int]
+) -> tuple[bool, Optional[Counterexample]]:
+    """``is_tight``'s answer, also where its scan would exceed the budget.
+
+    A system is tight iff its smallest counterexample is absent or at least
+    its top coin. Above the budget, Pearson's scan finds that amount in
+    O(m**3) steps whatever the coin values, and a counterexample below the
+    top coin gets ``optimal()``'s representation without a table.
+    """
+    if _tight_path(system, budget) == "oracle":
+        return is_tight(system, budget)
+    x = _pearson_scan(system.denoms)
+    if x is None or x >= system.largest:
+        return True, None
+    return False, _smallest_counterexample_at(system, x)
 
 
 def _is_pair_sum(denoms: tuple[int, ...], x: int) -> bool:

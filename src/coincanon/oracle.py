@@ -54,27 +54,40 @@ def _extend(
     greedy size exceeds its optimal size to ``hits``; with ``stop_at_hit``,
     end at the first such amount at or above ``start``. The lists must
     already hold the sizes of every amount below their length.
+
+    Two shortcuts leave the sizes exact. A coin amount has greedy and
+    optimal size 1. Any other amount x needs at least two coins: every
+    remainder x - c (c <= x a coin) is positive, so its optimal size is at
+    least 1. The first remainder of size 1 therefore ends the minimum, be it
+    the unit coin's x - 1, read first, or one of the other coins', read
+    largest first; on dense systems one of the first two reads reaches it.
     """
     m = len(denoms)
     x0 = len(grd)
     # Denominations <= x, maintained incrementally while x ascends from x0.
     next_i = max(bisect_right(denoms, x0 - 1), 1)
     cur = denoms[next_i - 1]  # largest denomination <= x
-    others = denoms[1:next_i]  # non-unit denominations <= x
+    others = denoms[next_i - 1:0:-1]  # non-unit denominations <= x, largest first
     nxt = denoms[next_i] if next_i < m else 0
     for x in range(x0, stop):
         if x == nxt:
             cur = x
-            others = denoms[1:next_i + 1]
+            others = denoms[next_i:0:-1]
             next_i += 1
             nxt = denoms[next_i] if next_i < m else 0
+            grd.append(1)
+            opt.append(1)
+            continue
         g = grd[x - cur] + 1
         grd.append(g)
         best = opt[x - 1]
-        for c in others:
-            v = opt[x - c]
-            if v < best:
-                best = v
+        if best > 1:
+            for c in others:
+                v = opt[x - c]
+                if v < best:
+                    best = v
+                    if v == 1:
+                        break
         best += 1
         opt.append(best)
         if g > best:

@@ -129,6 +129,28 @@ def test_tight_command(capsys):
     assert payload["verdict"] == "not-tight" and payload["witness"]["x"] == 14
 
 
+def test_tightness_above_the_scan_budget(capsys):
+    # Where the scan below the top coin exceeds the budget, Pearson's scan
+    # decides tightness, and tight --json names that path.
+    assert run(["check", "1,2,3,4,5,6,3000000000", "--method", "tight-extended"]) == 0
+    assert out_lines(capsys) == ["canonical"]
+    assert run(["tight", "1,2,3,4,5,6,3000000000", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "tight" and payload["method"] == "pearson"
+    assert run(["tight", "1,2,300000000,300000001,700000000", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "pearson" and payload["witness"]["x"] == 600_000_000
+    assert payload["witness"]["optimal_counts"] == [0, 0, 2, 0, 0]
+    assert run(["check", "1,2,300000000,300000001,700000000,800000000",
+                "--method", "tight-extended"]) == 2
+    assert "600000000 is a counterexample below 800000000" in capsys.readouterr().err
+    # Within the budget the oracle scan answers, and both paths agree.
+    for budget, path in (("50", "oracle"), ("49", "pearson")):
+        assert run(["tight", "1,7,10,50", "--json", "--dp-budget", budget]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == path and payload["witness"]["x"] == 14
+
+
 def test_usage_errors(capsys):
     assert run(["check", "5,10"]) == 2       # first coin not 1
     assert run(["check", "1,5,5"]) == 2      # duplicate

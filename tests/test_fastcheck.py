@@ -15,6 +15,8 @@ from coincanon import (
     smallest_counterexample,
     smallest_witness_is_pair,
 )
+from coincanon.fastcheck import _tight_path, tightness
+from coincanon.generate import enumerate_all
 
 
 def test_pearson_examples():
@@ -162,3 +164,20 @@ def test_smallest_witness_is_pair_examples():
     assert smallest_witness_is_pair(s, smallest_counterexample(s))  # 14 = 7+7
     s = new_coin_system([1, 5, 10, 25, 50, 100, 220])
     assert not smallest_witness_is_pair(s, smallest_counterexample(s))  # 300
+
+
+def test_tightness_above_the_scan_budget_matches_is_tight():
+    # A budget below the top coin forces Pearson's scan; its answer, witness
+    # included, must be the oracle scan's on every system of the corpora.
+    total = not_tight = 0
+    for m, cmax in ((1, 3), (2, 12), (3, 30), (4, 26), (5, 24), (6, 20), (7, 16)):
+        for s in enumerate_all(m, cmax):
+            want = is_tight(s)
+            if s.largest > 1:
+                assert _tight_path(s, s.largest - 1) == "pearson"
+                assert tightness(s, s.largest - 1) == want, s
+            assert _tight_path(s, None) == "oracle"
+            assert tightness(s, None) == want, s
+            total += 1
+            not_tight += not want[0]
+    assert total > 25_000 and not_tight > 5_000

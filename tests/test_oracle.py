@@ -18,7 +18,8 @@ from coincanon import (
     smallest_counterexample,
 )
 from coincanon.generate import enumerate_all
-from coincanon.oracle import _PrefixCache, _scan, _window
+from coincanon.oracle import _extend, _PrefixCache, _scan, _window
+from coincanon.solvers import _greedy_size, _opt_sizes
 
 from _brute import (
     greedy_size_bruteforce,
@@ -189,6 +190,55 @@ def test_disjoint_support_at_smallest_counterexample():
     assert checked > 30
 
 
+def _dense_systems():
+    """Many-coin systems where most amounts are coins or one coin above one:
+    1..m, arithmetic runs with steps 2-4, 1..m with holes, and seeded random
+    m-coin systems drawn from [2, 3m]."""
+    rng = random.Random(19)
+    for m in (1, 2, 3, 5, 17, 64, 150, 300):
+        yield tuple(range(1, m + 1))
+    for step in (2, 3, 4):
+        for m in (3, 9, 40, 120):
+            yield tuple(1 + i * step for i in range(m))
+    for m in (10, 40, 120):
+        for holes in (1, 3, m // 4):
+            yield tuple([1] + sorted(rng.sample(range(2, m + 1), m - 1 - holes)))
+    for m in (4, 8, 16, 32, 64, 128):
+        for _ in range(3):
+            yield tuple([1] + sorted(rng.sample(range(2, 3 * m + 1), m - 1)))
+
+
+def test_dense_scans_match_an_independent_dp():
+    # _opt_sizes fills its table coin by coin and shares no code with _extend;
+    # greedy sizes come one amount at a time.
+    for d in _dense_systems():
+        stop = 2 * d[-1]
+        hit, grd, opt = _scan(d, 1, stop, None, False)
+        assert grd == [_greedy_size(d, x) for x in range(stop)], d
+        assert opt == _opt_sizes(d, stop - 1), d
+        first = next((x for x in range(stop) if grd[x] != opt[x]), None)
+        assert hit == first, d
+        assert _scan(d, 1, stop, None, True)[0] == first, d
+
+
+def test_extend_reads_few_sizes_per_amount_on_dense_systems():
+    # Every amount of 1..512 is a coin, and every other amount up to 1024 is
+    # one coin above the top coin, so each amount is settled after at most two
+    # reads of the optimal sizes; a full scan of the coins reads about 256.
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counting.reads += 1
+            return list.__getitem__(self, i)
+
+    d = tuple(range(1, 513))
+    grd, opt, hits = [0], Counting([0]), []
+    _extend(d, grd, opt, hits, 1, 1024, False)
+    assert list(opt) == _opt_sizes(d, 1023) and hits == []
+    assert Counting.reads <= 2 * 1024
+
+
 def test_budget_guard():
     s = new_coin_system([1, 7, 10, 5000])
     with pytest.raises(LimitExceeded):
@@ -236,6 +286,11 @@ def test_prefix_cache_matches_scan_in_any_order():
         scans += _assert_cache_matches_scan(ds, m)  # lexicographic
         scans += _assert_cache_matches_scan(random.Random(m).sample(ds, len(ds)), m)
     scans += _assert_cache_matches_scan(mixed, 0)
+    # Dense many-coin systems with long shared prefixes, shuffled.
+    dense = [d[:k] for d in _dense_systems() if len(d) > 1
+             for k in sorted({2, len(d) // 2, len(d)})]
+    random.Random(17).shuffle(dense)
+    scans += _assert_cache_matches_scan(dense, 17)
     assert scans > 20_000
 
 

@@ -78,6 +78,10 @@ COMMANDS: list[list[str]] = [
     ["tight", "1,7,10,11", "--json"],
     ["tight", "1,7,10,50"],
     ["tight", "1,7,10,50", "--json"],
+    # tightness above the scan budget, decided by Pearson's scan
+    ["check", "1,2,3,4,5,6,3000000000", "--method", "tight-extended"],
+    ["tight", "1,2,3,4,5,6,3000000000", "--json"],
+    ["tight", "1,2,300000000,300000001,700000000", "--json"],
     # gen: every mode, with and without --tight and --json
     ["gen", "--family", "arithmetic", "--m", "5", "--step", "3"],
     ["gen", "--family", "geometric", "--m", "4", "--ratio", "3", "--json"],
